@@ -1,37 +1,36 @@
-"""Saturation scheduler benchmark: pull-based queue vs static fan-out.
+"""Saturation scheduler benchmark: one pull queue on 1 vs 4 slots.
 
 A scenario-matrix sweep is *skewed* in practice: hardware configs differ
 in simulation cost, a few layers dominate a model, and fleet workers run
-at unequal speeds.  Under the historical static fan-out each engine
-group barriers — every executor slot waits for the group's straggler
-before the next group starts — so skew turns directly into idle slots.
-The pull scheduler (:func:`repro.engine.scheduler.run_plan_groups`)
-drains all groups through one work queue instead: slots pull the next
-chunk as they finish, stragglers of every group run concurrently from
-pull #1, and fast slots steal the tails.
+at unequal speeds.  The pull scheduler
+(:func:`repro.engine.scheduler.run_plan_groups`) drains all engine
+groups through one work queue: slots pull the next chunk as they
+finish, stragglers of every group run concurrently from pull #1, and
+fast slots steal the tails.
 
 This bench builds a multi-engine sweep (one engine per SIGMA size) whose
 groups each contain one *straggler* layer — its simulation blocks for a
 fixed latency, emulating the heavyweight-functional / slow-remote-worker
 regime on any machine, including single-core CI — plus a tail of cheap
-layers.  It times three arms over identical work:
+layers.  It is a mechanism test: the injected sleeps stand in for work,
+so its speedups say the scheduler overlaps stragglers, not how fast any
+real workload runs.  It times three arms over identical work:
 
-* **serial** — one slot, no scheduling (also the bit-identity reference
-  and the "total busy time" used for the utilization estimate);
-* **static** — the legacy path: one ``backend.run`` fan-out per engine
-  group, barriered, on a 4-worker process pool;
-* **pull** — ``run_plan_groups`` over all groups on the same pool;
-* **thread** — ``run_plan_groups`` on a 4-worker *thread* pool.  The
-  historical claim that threads "help little" dated from the pure-Python
-  cycle models holding the GIL; with blocking waits and numpy batch
-  kernels releasing it, threads overlap too, and this arm keeps that
-  claim measured instead of folklore.
+* **serial** — the one-slot queue drained on the calling thread (also
+  the bit-identity reference and the "total busy time" used for the
+  utilization estimate);
+* **pull** — ``run_plan_groups`` over all groups on a 4-worker process
+  pool;
+* **thread** — ``run_plan_groups`` on 4 puller threads.  The historical
+  claim that threads "help little" dated from the pure-Python cycle
+  models holding the GIL; with blocking waits and numpy batch kernels
+  releasing it, threads overlap too, and this arm keeps that claim
+  measured instead of folklore.
 
-Results must be bit-identical across all arms; the pull arm must beat
-static by >= 1.5x wall-clock (the sum-of-stragglers vs
-max-of-stragglers gap), and the thread arm must beat serial by >= 1.5x.
-Emits ``BENCH_scheduler.json`` with the wall times, the utilization
-estimates and the scheduler counters.
+Results must be bit-identical across all arms, and both the pull and
+the thread arm must beat serial by >= 1.5x wall-clock.  Emits
+``BENCH_scheduler.json`` with the wall times, the utilization estimates
+and the scheduler counters.
 
 The straggler latency is injected by wrapping
 ``repro.engine.backends.simulate_layer`` *before* the process pool
@@ -108,23 +107,6 @@ def _serial_arm():
     return time.perf_counter() - start, stats
 
 
-def _static_arm(backend):
-    """The legacy path: one barriered fan-out per engine group."""
-    engines = _engines(backend)
-    start = time.perf_counter()
-    plans = []
-    for group, engine in enumerate(engines):
-        plan = engine.plan_many(
-            [EvalRequest(l) for l in _group_layers(group)]
-        )
-        work, owners = engine._collect_pending([plan])
-        run = backend.run(engine, work, max_workers=WORKERS)
-        engine._merge_results(work, owners, run)
-        plan._resolve_duplicates()
-        plans.append(plan)
-    return time.perf_counter() - start, _stats_dicts(plans)
-
-
 def _pull_arm(backend):
     """All groups through one pull queue on the same pool."""
     engines = _engines(backend)
@@ -143,13 +125,14 @@ def _pull_arm(backend):
 
 def _warm_pool(backend):
     """Fork the pool and build every worker's controllers before timing."""
+    groups = []
     for engine in _engines(backend):
-        items = [
-            (None, EvalRequest(FcLayer(f"warm{i}", in_features=8 + i,
-                                       out_features=8)))
+        plan = engine.plan_many([
+            EvalRequest(FcLayer(f"warm{i}", in_features=8 + i, out_features=8))
             for i in range(2 * WORKERS)
-        ]
-        backend.run(engine, items, max_workers=WORKERS)
+        ])
+        groups.append((engine, [plan]))
+    run_plan_groups(groups)
 
 
 def _run():
@@ -159,7 +142,6 @@ def _run():
     try:
         serial_s, serial_stats = _serial_arm()
         _warm_pool(backend)
-        static_s, static_stats = _static_arm(backend)
         pull_s, pull_stats, report = _pull_arm(backend)
         thread_s, thread_stats, thread_report = _pull_arm(thread_backend)
     finally:
@@ -168,11 +150,9 @@ def _run():
         backends_mod.simulate_layer = _REAL_SIMULATE
     return {
         "serial_s": serial_s,
-        "static_s": static_s,
         "pull_s": pull_s,
         "thread_s": thread_s,
         "serial_stats": serial_stats,
-        "static_stats": static_stats,
         "pull_stats": pull_stats,
         "thread_stats": thread_stats,
         "report": report,
@@ -182,11 +162,10 @@ def _run():
 
 def test_scheduler_saturation(benchmark, results_dir):
     out = benchmark.pedantic(_run, rounds=1, iterations=1)
-    speedup = out["static_s"] / out["pull_s"]
+    speedup = out["serial_s"] / out["pull_s"]
     thread_speedup = out["serial_s"] / out["thread_s"]
     items = len(GROUP_SIZES) * (1 + LIGHT_LAYERS)
     # Utilization: busy time (the serial wall clock) over slot-seconds.
-    util_static = out["serial_s"] / (WORKERS * out["static_s"])
     util_pull = out["serial_s"] / (WORKERS * out["pull_s"])
     util_thread = out["serial_s"] / (WORKERS * out["thread_s"])
     record = {
@@ -197,24 +176,17 @@ def test_scheduler_saturation(benchmark, results_dir):
         "workers": WORKERS,
         "straggler_latency_s": SLOW_S,
         "serial_s": round(out["serial_s"], 4),
-        "static_s": round(out["static_s"], 4),
         "pull_s": round(out["pull_s"], 4),
         "thread_s": round(out["thread_s"], 4),
-        "speedup_vs_static": round(speedup, 3),
+        "pull_speedup_vs_serial": round(speedup, 3),
         "thread_speedup_vs_serial": round(thread_speedup, 3),
-        "utilization_static": round(util_static, 4),
         "utilization_pull": round(util_pull, 4),
         "utilization_thread": round(util_thread, 4),
         "bit_identical": (
             out["pull_stats"] == out["serial_stats"]
-            and out["static_stats"] == out["serial_stats"]
             and out["thread_stats"] == out["serial_stats"]
         ),
-        "counters": {
-            key: value
-            for key, value in out["report"].items()
-            if key != "mode"
-        },
+        "counters": out["report"],
     }
     (results_dir / "BENCH_scheduler.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -225,10 +197,9 @@ def test_scheduler_saturation(benchmark, results_dir):
         f"process pool x{WORKERS}",
         f"{'':<10}{'wall s':>10}{'utilization':>13}",
         f"{'serial':<10}{out['serial_s']:>10.3f}{'':>13}",
-        f"{'static':<10}{out['static_s']:>10.3f}{util_static:>12.0%}",
         f"{'pull':<10}{out['pull_s']:>10.3f}{util_pull:>12.0%}",
         f"{'thread':<10}{out['thread_s']:>10.3f}{util_thread:>12.0%}",
-        f"speedup vs static fan-out: {speedup:.2f}x   "
+        f"pull vs serial: {speedup:.2f}x   "
         f"thread vs serial: {thread_speedup:.2f}x   "
         f"counters: {out['report']['chunks_pulled']} pulls, "
         f"{out['report']['steals']} steals, "
@@ -236,17 +207,13 @@ def test_scheduler_saturation(benchmark, results_dir):
     ]
     emit(results_dir, "scheduler", "\n".join(lines))
 
-    # Correctness first: all four arms bit-identical.
-    assert out["report"]["mode"] == "pull"
-    assert out["thread_report"]["mode"] == "pull"
-    assert out["static_stats"] == out["serial_stats"]
+    # Correctness first: all three arms bit-identical.
     assert out["pull_stats"] == out["serial_stats"]
     assert out["thread_stats"] == out["serial_stats"]
     # The straggler injection only reaches pool workers where the pool
     # forks (Linux); without it there is no skew to reclaim.
     if not SMOKE and multiprocessing.get_start_method() == "fork":
         assert speedup >= 1.5, f"pull speedup only {speedup:.2f}x"
-        assert util_pull > util_static
     # Thread slots share the patched interpreter on every platform; the
     # straggler sleeps (and numpy batch kernels) release the GIL, so
     # threads must reclaim the skew too.

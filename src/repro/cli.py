@@ -645,12 +645,13 @@ distributed sweeps:
   then point any run/tune/compare/sweep at the fleet:
       repro tune alexnet conv1 --objective cycles \\
           --workers hostA:9461,hostB:9461 --cache-path sweep.sqlite
-  The remote executor shards each evaluation batch across the workers,
-  retries dead workers' shards on survivors, and falls back to inline
-  execution when no worker is reachable — results are bit-identical to
-  --executor serial.  A shared .sqlite cache path lets concurrent
-  sweeps and workers reuse each other's measurements mid-run (bound it
-  with --cache-max-rows); compact long-lived JSONL spills with:
+  The remote executor gives each worker one pull slot per capacity
+  unit, retries a dead worker's chunk on survivors, and falls back to
+  inline execution when no worker is reachable — results are
+  bit-identical to --executor serial.  A shared .sqlite cache path
+  lets concurrent sweeps and workers reuse each other's measurements
+  mid-run (bound it with --cache-max-rows); compact long-lived JSONL
+  spills with:
   repro cache compact PATH
 
 sweep service:
@@ -684,8 +685,9 @@ saturation scheduling:
   executor slot (thread, process, or fleet capacity unit) pulls the
   next chunk as it finishes, so fast slots steal slow slots' tails and
   engine groups overlap instead of running back to back.  A worker
-  started with --fleet-capacity N advertises N pull slots and receives
-  proportionally larger shards.  Tune the queue with --chunk-size
+  started with --fleet-capacity N advertises N pull slots.  Serial
+  runs are the one-slot case, drained on the calling thread.  Tune the
+  queue with --chunk-size
   (items per pull, default auto) and --steal-deadline SECONDS (an
   in-flight chunk older than this is re-split across idle slots;
   distinct from --fleet-shard-timeout, which abandons a wedged
@@ -695,8 +697,8 @@ saturation scheduling:
 
 tracing and metrics:
   Any run/tune/compare/sweep records spans with --trace: session ->
-  sweep -> engine -> per-slot scheduler chunks (steals, re-splits and
-  speculative pulls as distinct span names) -> cache tier events, plus
+  sweep -> engine -> per-slot scheduler chunks (steals and re-splits
+  as distinct span names) -> cache tier events, plus
   one lane per fleet worker with the worker's own batch timing shipped
   back in the wire protocol.  The file loads directly in
   chrome://tracing / Perfetto:

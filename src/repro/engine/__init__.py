@@ -23,10 +23,10 @@ Components
 :class:`~repro.engine.evaluation.EvaluationEngine`
     The evaluation front end.  ``evaluate(layer, mapping)`` resolves the
     architecture through the controller registry, consults the cache,
-    and simulates on a miss; ``evaluate_many`` fans a batch of
-    :class:`~repro.engine.evaluation.EvalRequest` out over a thread
-    pool (each worker gets its own controller instance, so the cycle
-    models' internal tallies never race).  ``num_simulations`` vs
+    and simulates on a miss; ``evaluate_many`` hands a batch of
+    :class:`~repro.engine.evaluation.EvalRequest` misses to the pull
+    scheduler (each puller thread gets its own controller instance, so
+    the cycle models' internal tallies never race).  ``num_simulations`` vs
     ``num_evaluations`` counters expose real simulation savings.
 
     ``functional=True`` additionally executes the exact datapath (the
@@ -38,11 +38,13 @@ Components
 :mod:`~repro.engine.backends`
     The executor backends ``evaluate_many`` runs cache misses on,
     selected by name through a registry that mirrors the controller
-    registry: ``serial`` (inline), ``thread`` (shared-memory pool, GIL
-    bound for the pure-Python cycle models), and ``process`` (a process
-    pool — controllers are pure functions of (config, params, layer,
-    mapping) and pickle cleanly, so workers simulate independently and
-    return ``(key, stats)`` pairs that merge into the parent cache).
+    registry: ``serial`` (one inline slot), ``thread`` (one puller
+    thread per slot; numpy batch kernels release the GIL), and
+    ``process`` (a process pool — controllers are pure functions of
+    (config, params, layer, mapping) and pickle cleanly, so workers
+    simulate independently and return ``(key, stats)`` pairs that merge
+    into the parent cache).  Each backend only says how many slots it
+    has and how one slot runs a chunk.
 
 :class:`~repro.engine.cache.PersistentStatsCache`
     The disk tier: an append-only JSONL spill under the in-memory LRU.
@@ -51,13 +53,13 @@ Components
     measurement history.
 
 :mod:`~repro.engine.scheduler`
-    The saturation scheduler: :func:`~repro.engine.scheduler.run_plan_groups`
-    drains many engines' planned batches through one pull-based work
-    queue (one puller per backend slot) so engine groups overlap, fast
-    slots steal slow slots' tails, stragglers re-split past a deadline,
-    and speculative low-priority work (a tuner's predicted next
-    generation) fills otherwise-idle slots — all bit-identical to
-    serial execution, with exact steal/re-split/idle counters.
+    The one execution path: :func:`~repro.engine.scheduler.run_plan_groups`
+    drains many engines' planned batches through a pull-based work
+    queue (one puller per backend slot, the calling thread being the
+    first) so engine groups overlap, fast slots steal slow slots'
+    tails, and stragglers re-split past a deadline — all bit-identical
+    to serial execution, with exact steal/re-split/idle counters.
+    Serial is the one-slot case.
 
 Who routes through it
 ---------------------

@@ -1,18 +1,23 @@
-"""Executor backends: how a batch of simulations is actually run.
+"""Executor backends: how a chunk of simulations is actually run.
 
 The evaluation engine separates *what* to simulate (cache-missing
 ``EvalRequest``s) from *how* to run the misses.  The "how" is an
 :class:`ExecutorBackend`, selected by name through a registry that
-mirrors the controller registry (:mod:`repro.stonne.controller`):
+mirrors the controller registry (:mod:`repro.stonne.controller`).
+Every backend runs work the same way: the pull scheduler
+(:mod:`repro.engine.scheduler`) asks it for its slots
+(:meth:`ExecutorBackend.pull_slots`) and hands each slot chunks to
+execute (:meth:`ExecutorBackend.run_chunk`).
 
-* :class:`SerialBackend` — inline, one chunk at a time;
-* :class:`ThreadBackend` — a thread pool.  Same-layer work in a chunk
-  executes as one numpy batch kernel (:func:`simulate_chunk`), and
-  numpy releases the GIL inside its array loops, so grouped chunks
+* :class:`SerialBackend` — one slot, drained inline on the calling
+  thread;
+* :class:`ThreadBackend` — one slot per worker thread.  Same-layer work
+  in a chunk executes as one numpy batch kernel (:func:`simulate_chunk`),
+  and numpy releases the GIL inside its array loops, so grouped chunks
   genuinely overlap across threads; only singleton scalar simulations
   still serialize on the GIL;
-* :class:`ProcessBackend` — a process pool.  Controllers are pure
-  functions of (config, params, layer, mapping) and every piece
+* :class:`ProcessBackend` — one slot per pool process.  Controllers are
+  pure functions of (config, params, layer, mapping) and every piece
   pickles cleanly, so workers rebuild the controller once per process,
   simulate their chunk (grouped through the same batch kernels), and
   ship ``(key, stats)`` pairs back for the parent to merge into its
@@ -21,14 +26,14 @@ mirrors the controller registry (:mod:`repro.stonne.controller`):
 Backends receive work as ``(key, EvalRequest)`` pairs — ``key`` is the
 content-addressed cache key (``None`` when caching is off) — and return
 ``(key, stats_or_exception)`` pairs in submission order.  Exceptions are
-captured per item rather than aborting the batch, so one invalid mapping
+captured per item rather than aborting the chunk, so one invalid mapping
 cannot poison a generation of tuner proposals.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Callable,
     ClassVar,
@@ -57,49 +62,40 @@ def _default_workers(requested: Optional[int]) -> int:
 
 
 class ExecutorBackend:
-    """How the engine executes a batch of cache-missing simulations.
+    """How the engine executes cache-missing simulations.
 
-    Subclasses set :attr:`name` (the registry key) and implement
-    :meth:`run`.  Backends hold no simulation state of their own — the
-    engine passes itself in so backends can reach its config, params and
-    functional flag — which keeps one backend shareable across engines.
+    Subclasses set :attr:`name` (the registry key) and may override
+    :meth:`pull_slots` (how many lanes run at once) and
+    :meth:`run_chunk` (how one lane executes a chunk).  The defaults are
+    one inline slot.  Backends hold no simulation state of their own —
+    the engine passes itself in so backends can reach its config,
+    params and functional flag — which keeps one backend shareable
+    across engines.
     """
 
     #: Registry key; subclasses must override.
     name: ClassVar[str] = ""
 
-    def run(
-        self,
-        engine,
-        items: Sequence[WorkItem],
-        max_workers: Optional[int] = None,
-    ) -> List[WorkResult]:
-        """Simulate every item, returning ``(key, stats | exception)``
-        pairs in submission order."""
-        raise NotImplementedError
-
     def pull_slots(self, engine, max_workers: Optional[int] = None) -> List:
-        """Slot identities for pull-mode scheduling.
+        """Slot identities for the pull scheduler; never empty.
 
         Each slot is an opaque token naming one concurrent execution
-        lane (a pool worker, a fleet capacity unit).  The work-stealing
-        scheduler spawns one puller per slot; an empty list (the
-        default) means the backend only supports static :meth:`run`
-        batches.
+        lane (a pool worker, a fleet capacity unit).  The scheduler
+        drains the first slot on the calling thread and starts one
+        puller thread per further slot.  The default is one slot.
         """
-        return []
+        return [0]
 
     def run_chunk(
         self, engine, items: Sequence[WorkItem], slot=None
     ) -> List[WorkResult]:
         """Execute one scheduler chunk on ``slot``, in submission order.
 
-        Called concurrently from scheduler puller threads, one per slot
-        from :meth:`pull_slots` — implementations must be thread-safe
-        across distinct slots.  The default runs inline (correct for
-        thread-pool semantics, where the puller thread *is* the lane),
-        grouping the chunk's same-layer items through the controller's
-        batch kernels (:func:`simulate_chunk`).
+        Called concurrently from scheduler pullers, one per slot from
+        :meth:`pull_slots` — implementations must be thread-safe across
+        distinct slots.  The default runs inline (the puller thread *is*
+        the lane), grouping the chunk's same-layer items through the
+        controller's batch kernels (:func:`simulate_chunk`).
         """
         local = getattr(engine, "_local_controller", None)
         if local is None:  # duck-typed engines without the controller seam
@@ -269,85 +265,34 @@ def _simulate_item(engine, item: WorkItem) -> WorkResult:
 class SerialBackend(ExecutorBackend):
     """Inline execution — the baseline every other backend must beat.
 
-    Static batches run as one inline chunk, so same-layer groups still
-    collapse into batch-kernel calls: the serial default benefits from
-    vectorization exactly like the pooled backends.
+    One slot, drained on the calling thread, so each engine group runs
+    as one chunk and same-layer work still collapses into batch-kernel
+    calls: the serial default benefits from vectorization exactly like
+    the parallel backends.
     """
 
     name = "serial"
 
-    def run(self, engine, items, max_workers=None):
-        return self.run_chunk(engine, items)
 
+class ThreadBackend(ExecutorBackend):
+    """Thread-parallel execution: one scheduler puller thread per slot.
 
-class _PooledBackend(ExecutorBackend):
-    """Shared pool lifecycle for the thread and process backends.
-
-    The pool is created lazily on first parallel batch, reused across
-    batches (spawn cost is paid once per backend), recreated when the
-    requested width changes, and released by :meth:`close`.  Batches too
-    small to benefit run inline.
-    """
-
-    #: concurrent.futures executor class; subclasses set this.
-    _pool_factory: ClassVar[type]
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-        self._pool = None
-        self._pool_width = 0
-
-    def _ensure_pool(self, workers: int):
-        if self._pool is None or self._pool_width != workers:
-            self.close()
-            self._pool = self._pool_factory(max_workers=workers)
-            self._pool_width = workers
-        return self._pool
-
-    def run(self, engine, items, max_workers=None):
-        workers = _default_workers(max_workers or self.max_workers)
-        if len(items) <= 1 or workers <= 1:
-            return [_simulate_item(engine, item) for item in items]
-        return self._run_pooled(engine, items, self._ensure_pool(workers))
-
-    def _run_pooled(self, engine, items, pool) -> List[WorkResult]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_width = 0
-
-
-class ThreadBackend(_PooledBackend):
-    """Thread-pooled execution.
-
-    Each worker thread lazily builds its own controller through the
-    engine (cycle-model tallies must not race).  Historically this
-    backend "helped little" — not because of anything subtle, but
-    because the cycle models were pure Python and therefore fully
-    GIL-bound.  With chunks grouped into numpy batch kernels
-    (:func:`simulate_chunk`) the array math releases the GIL, so
-    scheduler-driven thread runs now overlap for real; see
-    ``benchmarks/bench_scheduler.py`` for the measured scenario.
-    Per-item static batches (this class's :meth:`run`) remain
-    GIL-bound scalar simulations.
+    Each puller lazily builds its own controller through the engine
+    (cycle-model tallies must not race).  Historically this backend
+    "helped little" — not because of anything subtle, but because the
+    cycle models were pure Python and therefore fully GIL-bound.  With
+    chunks grouped into numpy batch kernels (:func:`simulate_chunk`) the
+    array math releases the GIL, so thread runs now overlap for real;
+    see ``benchmarks/bench_scheduler.py`` for the measured scenario.
     """
 
     name = "thread"
-    _pool_factory = ThreadPoolExecutor
 
-    def _run_pooled(self, engine, items, pool):
-        return list(pool.map(lambda item: _simulate_item(engine, item), items))
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        self.max_workers = max_workers
 
     def pull_slots(self, engine, max_workers=None):
-        workers = _default_workers(max_workers or self.max_workers)
-        if workers <= 1:
-            return []
-        # Pullers are scheduler-owned threads; each builds its own
-        # thread-local controller through the engine, so no pool here.
-        return list(range(workers))
+        return list(range(_default_workers(max_workers or self.max_workers)))
 
 
 # ----------------------------------------------------------------------
@@ -382,54 +327,48 @@ def _process_chunk(spec: Tuple, chunk: List[Tuple]) -> List[Tuple]:
     ]
 
 
-class ProcessBackend(_PooledBackend):
+class ProcessBackend(ExecutorBackend):
     """Process-pooled execution for CPU-bound sweeps.
 
     Processes sidestep the GIL entirely, which made this the only real
     fan-out for the historical pure-Python models; with chunks grouped
     into numpy batch kernels the thread backend competes again, but
     processes still win when chunks degenerate to singleton scalar
-    simulations.  Work is split into one chunk per worker to amortize
-    pickling, each worker simulates its chunk with a per-process cached
-    controller, and the parent merges the returned ``(key, stats)``
-    pairs into its cache.
+    simulations.  Each pool process is one scheduler slot: it simulates
+    the chunks its puller ships with a per-process cached controller,
+    and the parent merges the returned ``(key, stats)`` pairs into its
+    cache.
+
+    The pool is created lazily by the first :meth:`pull_slots` asking
+    for two or more slots, reused across runs (spawn cost is paid once
+    per backend), recreated when the requested width changes, and
+    released by :meth:`close`.  A width of one runs inline.
     """
 
     name = "process"
-    _pool_factory = ProcessPoolExecutor
 
-    def _run_pooled(self, engine, items, pool):
-        spec = (
-            engine.fingerprint,
-            type(engine.controller),
-            engine.config,
-            engine.params,
-            engine.functional,
-        )
-        indexed = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
-        ]
-        chunks = [indexed[i :: self._pool_width] for i in range(self._pool_width)]
-        chunks = [chunk for chunk in chunks if chunk]
-        results: List[WorkResult] = [None] * len(items)  # type: ignore
-        for chunk_results in pool.map(
-            _process_chunk, [spec] * len(chunks), chunks
-        ):
-            for position, key, payload in chunk_results:
-                results[position] = (key, payload)
-        return results
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        self.max_workers = max_workers
+        self._pool = None
+        self._pool_width = 0
+
+    def _ensure_pool(self, workers: int):
+        if self._pool is None or self._pool_width != workers:
+            self.close()
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool_width = workers
+        return self._pool
 
     def pull_slots(self, engine, max_workers=None):
         workers = _default_workers(max_workers or self.max_workers)
         if workers <= 1:
-            return []
+            return [0]
         self._ensure_pool(workers)
         return list(range(workers))
 
     def run_chunk(self, engine, items, slot=None):
         if self._pool is None:
-            return [_simulate_item(engine, item) for item in items]
+            return super().run_chunk(engine, items, slot)
         spec = (
             engine.fingerprint,
             type(engine.controller),
@@ -447,6 +386,12 @@ class ProcessBackend(_PooledBackend):
         ).result():
             results[position] = (key, payload)
         return results
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+            self._pool_width = 0
 
 
 # ----------------------------------------------------------------------

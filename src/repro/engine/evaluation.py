@@ -14,9 +14,10 @@ overview.  The key design points:
   rewritten to the requesting layer's name, so records stay attributable
   even when they were produced by a different layer of the same shape.
 * **Pluggable batching.**  ``evaluate_many`` splits a batch into cache
-  hits and misses and hands the misses to an executor backend
-  (:mod:`repro.engine.backends`): serial, thread-pooled, or
-  process-pooled.  Batch-internal duplicates simulate once.  Worker
+  hits and misses and hands the misses to the pull scheduler
+  (:mod:`repro.engine.scheduler`), which runs them on an executor
+  backend (:mod:`repro.engine.backends`): serial, threads, processes
+  or a fleet.  Batch-internal duplicates simulate once.  Puller
   threads lazily build their own controller (controllers keep internal
   tallies, e.g. the accumulation buffer's write counters, which must
   not race); worker processes return ``(key, stats)`` pairs that merge
@@ -247,9 +248,9 @@ class EvaluationEngine:
             ``None`` keeps the historical default — threads when
             ``max_workers`` asks for parallelism, inline otherwise.
         max_workers: Default pool width for :meth:`evaluate_many`.
-        chunk_size: Items per scheduler chunk on pull-capable backends
-            (:mod:`repro.engine.scheduler`); ``None`` sizes chunks
-            automatically from the batch and slot count.
+        chunk_size: Items per scheduler chunk on backends with two or
+            more slots (:mod:`repro.engine.scheduler`); ``None`` sizes
+            chunks automatically from the batch and slot count.
         steal_deadline: Seconds before an idle scheduler slot re-splits
             a straggler's unfinished chunk.
     """
@@ -521,7 +522,6 @@ class EvaluationEngine:
         max_workers: Optional[int] = None,
         executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
-        speculative: Sequence[EvalRequest] = (),
     ) -> dict:
         """Execute the pending misses of one or more plans as one batch.
 
@@ -532,12 +532,10 @@ class EvaluationEngine:
         into the cache and into each plan's ``results``; parked
         duplicates resolve afterwards.
 
-        On pull-capable backends with two or more slots the work runs
-        through the work-stealing scheduler
-        (:func:`repro.engine.scheduler.run_plan_groups`); otherwise it
-        runs as one static backend batch.  Results are bit-identical
-        either way.  ``speculative`` requests, if any, ride the
-        scheduler's low-priority lane and only ever warm the cache.
+        The work runs through the pull scheduler
+        (:func:`repro.engine.scheduler.run_plan_groups`) on as many
+        slots as the backend offers; a one-slot backend drains it on
+        the calling thread.  Results are bit-identical either way.
 
         Per-request failures abort by re-raising the first one unless
         ``return_errors`` is True, in which case the failed slots hold
@@ -562,7 +560,6 @@ class EvaluationEngine:
                 max_workers=max_workers,
                 executor=executor,
                 return_errors=return_errors,
-                speculative=speculative,
             )
 
     def evaluate_many(
@@ -571,7 +568,6 @@ class EvaluationEngine:
         max_workers: Optional[int] = None,
         executor: Union[str, ExecutorBackend, None] = None,
         return_errors: bool = False,
-        speculative: Sequence[EvalRequest] = (),
     ) -> List[SimulationStats]:
         """Evaluate a batch, preserving order.
 
@@ -584,24 +580,18 @@ class EvaluationEngine:
         :meth:`plan_many` followed by :meth:`run_plans`, the same path
         multi-scenario sweeps use.
 
-        ``speculative`` requests are extra low-priority work for the
-        scheduler: they run only while normal slots would otherwise
-        idle, populate the cache, and never appear in the returned
-        results.
-
         Per-request failures abort the batch by re-raising the first one
         unless ``return_errors`` is True, in which case the failed slots
         hold the exception instances instead of stats.
         """
         plan = self.plan_many(requests)
-        if not plan.requests and not speculative:
+        if not plan.requests:
             return []
         self.run_plans(
             [plan],
             max_workers=max_workers,
             executor=executor,
             return_errors=return_errors,
-            speculative=speculative,
         )
         return plan.results
 

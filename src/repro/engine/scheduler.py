@@ -1,26 +1,24 @@
-"""Pull-based work-queue scheduling across engines, plans and backends.
+"""Pull-based work-queue scheduling: the one way backends run work.
 
-The executor backends historically received one static stride per worker
-and barriered per engine group: a sweep over three hardware configs ran
-three fan-outs back to back, and within each fan-out the fastest worker
-idled until the slowest finished its pre-assigned chunk.  This module
-replaces that with one global queue of ``(engine, chunk)`` items drained
-by *pullers* — one per backend slot — so
+Every engine group's cache misses are chunked onto one queue of
+``(engine, chunk)`` items drained by *pullers* — one per backend slot
+(:meth:`~repro.engine.backends.ExecutorBackend.pull_slots`) — so
 
 * engine groups overlap: a slot that finishes config A's chunks
-  immediately pulls config B's instead of waiting for the group barrier;
+  immediately pulls config B's instead of waiting for a group barrier;
 * fast slots steal the tail of slow slots' load: chunks carry a *home*
-  slot (the static assignment they would have had) and a pull by any
-  other slot counts as a steal;
+  slot (round-robin over the slots) and a pull by any other slot counts
+  as a steal;
 * stragglers re-split: when an idle slot finds no queued work but a
   chunk has been in flight past ``steal_deadline`` seconds, it clones
   the chunk's still-unfilled items and races the straggler — first
-  writer wins per item, so results stay deterministic;
-* speculative work rides at low priority: priority-1 chunks (e.g. a GA
-  tuner's predicted next generation) are pulled only when no normal
-  work is queued, their results warm the cache without touching any
-  plan, and whatever is still queued when the normal work completes is
-  cancelled.
+  writer wins per item, so results stay deterministic.
+
+The calling thread drains the first slot itself and one puller thread
+runs each further slot.  A one-slot backend (serial, a pool of width
+one, a fleet with no reachable worker) therefore starts no thread,
+keeps the caller's thread-local controller, and runs each group as a
+single chunk.
 
 Determinism: every simulation is a pure function of (config, params,
 layer, mapping), so results are bit-identical to ``--executor serial``
@@ -39,10 +37,8 @@ either way (see :func:`repro.engine.backends.simulate_chunk`).
 
 :func:`run_plan_groups` is the entry point: the sweep runner hands it
 every engine's plans at once; ``EvaluationEngine.run_plans`` is the
-single-group special case.  Backends opt in by returning two or more
-slot tokens from ``pull_slots``; everything else (serial, third-party
-backends, single-worker pools) keeps the legacy one-batch-per-group
-path, bit-for-bit.
+single-group special case.  Groups whose engines resolve to different
+backends are drained one backend at a time.
 """
 
 from __future__ import annotations
@@ -74,9 +70,6 @@ COUNTER_KEYS = (
     "chunks_pulled",
     "steals",
     "resplits",
-    "speculative_pulled",
-    "speculative_cancelled",
-    "speculative_simulations",
     "idle_time_s",
 )
 
@@ -90,9 +83,8 @@ class Chunk:
     """One pullable unit: a few work items of one engine group.
 
     ``slots`` are the items' positions in the group's flattened work
-    list; ``home`` is the slot the chunk would have belonged to under
-    static fan-out (the steal baseline).  Priority 0 is normal work,
-    1 is speculative.  A re-split duplicate records its original in
+    list; ``home`` is the slot the chunk is dealt to round-robin (the
+    steal baseline).  A re-split duplicate records its original in
     ``resplit_of`` so it is never itself re-split.
     """
 
@@ -102,7 +94,6 @@ class Chunk:
         "slots",
         "items",
         "home",
-        "priority",
         "started_at",
         "puller",
         "resplit_of",
@@ -112,11 +103,10 @@ class Chunk:
     def __init__(
         self,
         engine,
-        group: Optional[int],
-        slots: Optional[List[int]],
+        group: int,
+        slots: List[int],
         items: List[Tuple[Optional[Hashable], Any]],
         home: Optional[int] = None,
-        priority: int = 0,
         resplit_of: Optional["Chunk"] = None,
     ) -> None:
         self.engine = engine
@@ -124,22 +114,20 @@ class Chunk:
         self.slots = slots
         self.items = items
         self.home = home
-        self.priority = priority
         self.started_at: Optional[float] = None
         self.puller = None
         self.resplit_of = resplit_of
         self.resplit_issued = False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "spec" if self.priority else "work"
         return (
-            f"Chunk({kind}, group={self.group}, items={len(self.items)}, "
+            f"Chunk(group={self.group}, items={len(self.items)}, "
             f"home={self.home})"
         )
 
 
 class WorkQueue:
-    """The shared pull queue: priorities, steal accounting, re-splits.
+    """The shared pull queue: steal accounting and re-splits.
 
     Thread-safe; all bookkeeping happens under one condition variable.
     ``clock`` is injectable so tests can pin steal/re-split decisions
@@ -162,8 +150,7 @@ class WorkQueue:
             else DEFAULT_STEAL_DEADLINE_S
         )
         self._cond = threading.Condition()
-        self._normal: deque = deque()
-        self._spec: deque = deque()
+        self._queued: deque = deque()
         self._in_flight: Dict[int, Chunk] = {}
         self._filled: List[List[bool]] = [
             [False] * size for size in group_sizes
@@ -172,20 +159,15 @@ class WorkQueue:
         self.results: List[List[Optional[Tuple]]] = [
             [None] * size for size in group_sizes
         ]
-        #: Completed speculative items, cache-merge only.
-        self.spec_results: List[Tuple] = []
         self._pending_slots = sum(group_sizes)
         self.counters = zero_counters()
         assert num_groups == len(group_sizes)
 
     # ------------------------------------------------------------------
     def add(self, chunk: Chunk) -> None:
-        """Enqueue a chunk (normal or speculative by its priority)."""
+        """Enqueue a chunk."""
         with self._cond:
-            if chunk.priority == 0:
-                self._normal.append(chunk)
-            else:
-                self._spec.append(chunk)
+            self._queued.append(chunk)
             self._cond.notify()
 
     @property
@@ -197,11 +179,10 @@ class WorkQueue:
     def pull(self, slot_id) -> Optional[Chunk]:
         """The next chunk for ``slot_id``; None when all work is done.
 
-        Order of preference: queued normal work (counting a steal when
-        the chunk's home is another slot), then a re-split of the oldest
-        straggler past the deadline, then queued speculative work, then
-        wait.  Returns None — cancelling any still-queued speculation —
-        once every normal item has a result.
+        Order of preference: queued work (counting a steal when the
+        chunk's home is another slot), then a re-split of the oldest
+        straggler past the deadline, then wait.  Returns None once every
+        item has a result.
         """
         with self._cond:
             idle_started: Optional[float] = None
@@ -219,16 +200,10 @@ class WorkQueue:
 
     def _next_locked(self, slot_id):
         if self._pending_slots == 0:
-            # Normal work complete: queued-but-unstarted speculation is
-            # cancelled (its losers never run); in-flight speculative
-            # chunks finish and still warm the cache.
-            if self._spec:
-                self.counters["speculative_cancelled"] += len(self._spec)
-                self._spec.clear()
             self._cond.notify_all()
             return None
-        if self._normal:
-            chunk = self._normal.popleft()
+        if self._queued:
+            chunk = self._queued.popleft()
             self.counters["chunks_pulled"] += 1
             if chunk.home is not None and chunk.home != slot_id:
                 self.counters["steals"] += 1
@@ -236,11 +211,6 @@ class WorkQueue:
         resplit = self._make_resplit(slot_id)
         if resplit is not None:
             return resplit
-        if self._spec:
-            chunk = self._spec.popleft()
-            self.counters["chunks_pulled"] += 1
-            self.counters["speculative_pulled"] += 1
-            return self._start(chunk, slot_id)
         return _WAIT
 
     def _start(self, chunk: Chunk, slot_id) -> Chunk:
@@ -259,8 +229,7 @@ class WorkQueue:
         straggler: Optional[Chunk] = None
         for chunk in self._in_flight.values():
             if (
-                chunk.priority != 0
-                or chunk.resplit_of is not None
+                chunk.resplit_of is not None
                 or chunk.resplit_issued
                 or chunk.started_at is None
                 or now - chunk.started_at < self.steal_deadline
@@ -285,7 +254,6 @@ class WorkQueue:
             slots=[straggler.slots[i] for i in remaining],
             items=[straggler.items[i] for i in remaining],
             home=slot_id,
-            priority=0,
             resplit_of=straggler,
         )
         self.counters["resplits"] += 1
@@ -297,16 +265,13 @@ class WorkQueue:
         """Record a chunk's results (first writer wins per item)."""
         with self._cond:
             self._in_flight.pop(id(chunk), None)
-            if chunk.priority == 0:
-                filled = self._filled[chunk.group]
-                out = self.results[chunk.group]
-                for position, result in zip(chunk.slots, results):
-                    if not filled[position]:
-                        filled[position] = True
-                        out[position] = result
-                        self._pending_slots -= 1
-            else:
-                self.spec_results.extend(results)
+            filled = self._filled[chunk.group]
+            out = self.results[chunk.group]
+            for position, result in zip(chunk.slots, results):
+                if not filled[position]:
+                    filled[position] = True
+                    out[position] = result
+                    self._pending_slots -= 1
             self._cond.notify_all()
 
 
@@ -417,30 +382,22 @@ def run_plan_groups(
     max_workers: Optional[int] = None,
     executor=None,
     return_errors: bool = False,
-    speculative: Sequence[Any] = (),
     chunk_size: Optional[int] = None,
     steal_deadline: Optional[float] = None,
     clock=None,
 ) -> Dict[str, Any]:
-    """Execute the pending misses of several engines' plans as one queue.
+    """Execute the pending misses of several engines' plans.
 
     ``groups`` is ``[(engine, [BatchPlan, ...]), ...]``.  Each group's
     misses are flattened with cross-plan dedup (the engine's own
-    :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then —
-    when the shared backend advertises two or more pull slots — chunked
-    onto one :class:`WorkQueue` and drained by one puller thread per
-    slot.  Otherwise each group runs through the backend's legacy
-    ``run`` batch, bit-identically to the pre-scheduler behaviour.
+    :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then
+    chunked onto a :class:`WorkQueue` per backend and drained by one
+    puller per slot the backend advertises.
 
-    ``speculative`` is a sequence of extra :class:`EvalRequest` objects
-    for the *first* group's engine, enqueued at low priority; their
-    results only ever warm that engine's cache.
-
-    Returns the scheduler counter report for this invocation (all-zero
-    ``mode: "static"`` when the pull path was not engaged).  Errors obey
-    ``return_errors`` exactly like ``run_plans``: every plan is fully
-    resolved, then the first per-item error (in group, then submission
-    order) is raised.
+    Returns the scheduler counter report for this invocation, summed
+    over backends.  Errors obey ``return_errors`` exactly like
+    ``run_plans``: every plan is fully resolved, then the first per-item
+    error (in group, then submission order) is raised.
     """
     from repro.errors import SimulationError
 
@@ -453,57 +410,40 @@ def run_plan_groups(
                 )
 
     collected: List[Tuple[Any, Sequence[Any], List, List]] = []
+    by_backend: Dict[int, Tuple[Any, List]] = {}
     for engine, plans in groups:
         work, owners = engine._collect_pending(plans)
-        collected.append((engine, plans, work, owners))
+        entry = (engine, plans, work, owners)
+        collected.append(entry)
+        if work:
+            backend = engine._resolve_backend(executor, max_workers)
+            by_backend.setdefault(id(backend), (backend, []))[1].append(entry)
 
     report = zero_counters()
-    report["mode"] = "static"
-    if not collected:
-        return report
-
-    lead_engine = collected[0][0]
-    backends = {
-        id(engine._resolve_backend(executor, max_workers)): engine
-        for engine, _plans, _work, _owners in collected
-    }
-    backend = lead_engine._resolve_backend(executor, max_workers)
-    workers = max_workers if max_workers is not None else lead_engine.max_workers
-    if chunk_size is None:
-        chunk_size = getattr(lead_engine, "chunk_size", None)
-    if steal_deadline is None:
-        steal_deadline = getattr(lead_engine, "steal_deadline", None)
-
-    total_items = sum(len(work) for _e, _p, work, _o in collected)
-    slots: List = []
-    if len(backends) == 1 and total_items > 1:
-        slots = backend.pull_slots(lead_engine, max_workers=workers)
-
-    if len(slots) > 1:
-        report = _run_scheduled(
-            collected,
+    for backend, entries in by_backend.values():
+        lead_engine = entries[0][0]
+        workers = (
+            max_workers if max_workers is not None else lead_engine.max_workers
+        )
+        counters = _run_scheduled(
+            entries,
             backend,
-            slots,
-            speculative=speculative,
-            chunk_size=chunk_size,
-            steal_deadline=steal_deadline,
+            backend.pull_slots(lead_engine, max_workers=workers),
+            chunk_size=(
+                chunk_size
+                if chunk_size is not None
+                else getattr(lead_engine, "chunk_size", None)
+            ),
+            steal_deadline=(
+                steal_deadline
+                if steal_deadline is not None
+                else getattr(lead_engine, "steal_deadline", None)
+            ),
             clock=clock,
         )
-        report["mode"] = "pull"
-        _accumulate(backend, report)
-    else:
-        # Legacy path: one static backend batch per group.  Serial
-        # execution, third-party backends and single-slot pools land
-        # here; speculation has no low-priority lane and is skipped.
-        for engine, _plans, work, owners in collected:
-            if not work:
-                continue
-            group_backend = engine._resolve_backend(executor, max_workers)
-            group_workers = (
-                max_workers if max_workers is not None else engine.max_workers
-            )
-            run = group_backend.run(engine, work, max_workers=group_workers)
-            engine._merge_results(work, owners, run)
+        _accumulate(backend, counters)
+        for key in COUNTER_KEYS:
+            report[key] += counters[key]
 
     for _engine, plans, _work, _owners in collected:
         for plan in plans:
@@ -526,76 +466,53 @@ def _first_error(collected) -> Optional[Exception]:
 
 
 def _run_scheduled(
-    collected,
+    entries,
     backend,
     slots: List,
-    speculative: Sequence[Any],
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
     clock,
 ) -> Dict[str, Any]:
-    """The pull path: chunk, enqueue, drain with one puller per slot."""
+    """Chunk, enqueue and drain one backend's groups."""
     with TRACER.span(
         "scheduler.pull", category="scheduler",
-        groups=len(collected), slots=len(slots),
+        groups=len(entries), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            collected, backend, slots, speculative, chunk_size,
-            steal_deadline, clock,
+            entries, backend, slots, chunk_size, steal_deadline, clock
         )
 
 
 def _run_scheduled_inner(
-    collected,
+    entries,
     backend,
     slots: List,
-    speculative: Sequence[Any],
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
     clock,
 ) -> Dict[str, Any]:
-    group_sizes = [len(work) for _e, _p, work, _o in collected]
     queue = WorkQueue(
-        num_groups=len(collected),
-        group_sizes=group_sizes,
+        num_groups=len(entries),
+        group_sizes=[len(work) for _e, _p, work, _o in entries],
         clock=clock,
         steal_deadline=steal_deadline,
     )
 
     per_group: List[List[Chunk]] = []
-    for group, (engine, _plans, work, _owners) in enumerate(collected):
-        size = (
-            chunk_size
-            if chunk_size is not None and chunk_size >= 1
-            else _auto_chunk_size(len(work), len(slots))
-        )
+    for group, (engine, _plans, work, _owners) in enumerate(entries):
+        if len(slots) == 1:
+            size = len(work)  # nothing to balance: one batch per group
+        elif chunk_size is not None and chunk_size >= 1:
+            size = chunk_size
+        else:
+            size = _auto_chunk_size(len(work), len(slots))
         per_group.append(_chunk_group(engine, group, work, size))
-    ordered = _interleave(per_group)
-    # Home = the slot static round-robin fan-out would have assigned;
-    # a pull by any other slot is a steal.
-    for index, chunk in enumerate(ordered):
+    for index, chunk in enumerate(_interleave(per_group)):
         chunk.home = slots[index % len(slots)]
         queue.add(chunk)
 
-    spec_engine = collected[0][0]
-    spec_work = _speculative_work(spec_engine, collected, speculative)
-    if spec_work:
-        spec_size = (
-            chunk_size
-            if chunk_size is not None and chunk_size >= 1
-            else _auto_chunk_size(len(spec_work), len(slots))
-        )
-        for start in range(0, len(spec_work), spec_size):
-            queue.add(
-                Chunk(
-                    engine=spec_engine,
-                    group=None,
-                    slots=None,
-                    items=spec_work[start : start + spec_size],
-                    priority=1,
-                )
-            )
-
+    # The calling thread is the first slot's puller; each further slot
+    # gets a thread of its own.
     pullers = [
         threading.Thread(
             target=_drain,
@@ -603,50 +520,19 @@ def _run_scheduled_inner(
             name=f"repro-puller-{index}",
             daemon=True,
         )
-        for index, slot in enumerate(slots)
+        for index, slot in enumerate(slots[1:], start=1)
     ]
     for thread in pullers:
         thread.start()
+    _drain(queue, backend, slots[0])
     for thread in pullers:
         thread.join()
 
     # Merge on the calling thread: cache writes and plan mutation stay
-    # single-threaded, exactly like the legacy path.
-    for group, (engine, _plans, work, owners) in enumerate(collected):
-        if work:
-            engine._merge_results(work, owners, queue.results[group])
-
-    speculative_simulations = 0
-    if queue.spec_results and spec_engine.cache_enabled:
-        for key, payload in queue.spec_results:
-            if key is not None and not isinstance(payload, Exception):
-                spec_engine.cache.put(key, payload)
-                speculative_simulations += 1
-    report = dict(queue.counters)
-    report["speculative_simulations"] = speculative_simulations
-    return report
-
-
-def _speculative_work(engine, collected, speculative) -> List[Tuple]:
-    """Key and dedup speculative requests against all pending work."""
-    if not speculative or not getattr(engine, "cache_enabled", False):
-        return []
-    from repro.engine.evaluation import evaluation_key
-
-    pending_keys = {
-        key
-        for _e, _p, work, _o in collected
-        for key, _request in work
-        if key is not None
-    }
-    out: List[Tuple] = []
-    for request in speculative:
-        key = evaluation_key(engine.fingerprint, request.layer, request.mapping)
-        if key in pending_keys or key in engine.cache:
-            continue
-        pending_keys.add(key)
-        out.append((key, request))
-    return out
+    # single-threaded.
+    for group, (engine, _plans, work, owners) in enumerate(entries):
+        engine._merge_results(work, owners, queue.results[group])
+    return dict(queue.counters)
 
 
 def _slot_lane(slot) -> str:
@@ -657,10 +543,8 @@ def _slot_lane(slot) -> str:
 
 
 def _chunk_span_name(chunk: Chunk, slot) -> str:
-    """Distinct event names per lifecycle kind, so steals / re-splits /
-    speculation are visually distinguishable in a Chrome trace."""
-    if chunk.priority:
-        return "scheduler.speculative"
+    """Distinct event names per lifecycle kind, so steals and re-splits
+    are visually distinguishable in a Chrome trace."""
     if chunk.resplit_of is not None:
         return "scheduler.resplit"
     if chunk.home is not None and chunk.home != slot:

@@ -27,10 +27,10 @@ across machines:
 
 :mod:`repro.fleet.remote_backend`
     The client: an executor backend registered as ``"remote"``.  The
-    engine's ``evaluate_many`` hands it a miss batch; it shards the
-    batch round-robin across configured workers, retries dead workers'
-    shards on survivors, and degrades to inline serial execution when
-    the fleet is unreachable.  Because it is just another backend,
+    pull scheduler gives it one slot per capacity unit of each reachable
+    worker; each slot ships its chunks to that worker, a dead worker's
+    chunk is retried on survivors, and everything degrades to inline
+    serial execution when the fleet is unreachable.  Because it is just another backend,
     ``Tuner.tune → measure_batch → evaluate_many`` distributes a GA
     generation with zero tuner changes — and results stay bit-identical
     to serial execution (the acceptance bar).

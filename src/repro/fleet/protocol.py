@@ -315,8 +315,8 @@ def hello_message(
     nonce: Optional[str] = None,
 ) -> Dict[str, Any]:
     """The worker's greeting.  ``capacity`` is its advertised weight —
-    how many concurrent shard units the operator sized it for — which
-    the remote backend uses to seed proportional shard sizes; absent
+    how many concurrent units the operator sized it for — which the
+    remote backend turns into that many pull-scheduler slots; absent
     (older workers) it defaults to 1 on the client side.  ``nonce``
     (secured daemons only) attaches the shared-secret auth challenge
     the client must answer before anything else."""

@@ -1,27 +1,26 @@
-"""The ``remote`` executor backend: fan a miss batch out across workers.
+"""The ``remote`` executor backend: pull scheduler slots on fleet workers.
 
 :class:`RemoteBackend` is an :class:`~repro.engine.backends.ExecutorBackend`
 registered as ``"remote"``, so the whole existing measurement path —
 ``Tuner.tune`` → ``TuningTask.measure_batch`` →
-``EvaluationEngine.evaluate_many`` — fans a GA generation out across
+``EvaluationEngine.evaluate_many`` — spreads a GA generation across
 machines with zero changes to the tuner: the engine still splits hits
 from misses, and only the misses travel.
 
-Execution model per batch:
+Execution model:
 
-* the batch is sharded round-robin across the configured workers
-  (``host:port`` addresses — constructor argument, CLI ``--workers``,
-  or the ``REPRO_FLEET_WORKERS`` environment variable);
-* shards run concurrently on one client thread per worker, over
-  persistent connections (the hello handshake is paid once per worker,
-  controller rebuilds once per engine fingerprint per worker);
-* a shard whose worker dies mid-batch is *retried* on the surviving
-  workers, in shard-sized pieces, so one crash costs one round trip,
-  not the sweep;
+* every reachable worker (``host:port`` addresses — constructor
+  argument, CLI ``--workers``, or the ``REPRO_FLEET_WORKERS``
+  environment variable) contributes one pull-scheduler slot per
+  advertised capacity unit, and each slot ships the chunks it pulls
+  over a persistent connection (the hello handshake is paid once per
+  worker, controller rebuilds once per engine fingerprint per worker);
+* a chunk whose worker dies mid-request is *retried* on the surviving
+  workers, so one crash costs one round trip, not the sweep;
 * when no worker is reachable — or the engine is not remotable (mock
-  configs) — the shard falls back to inline serial execution, so
-  ``--executor remote`` degrades to ``--executor serial`` instead of
-  failing a run.
+  configs) — the backend offers one fallback slot whose chunks run
+  inline, so ``--executor remote`` degrades to ``--executor serial``
+  instead of failing a run.
 
 Per-item errors (invalid mappings and friends) are captured exception
 entries, exactly like every other backend; worker-side
@@ -35,7 +34,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.backends import (
@@ -56,12 +54,12 @@ WORKERS_ENV = "REPRO_FLEET_WORKERS"
 #: Seconds to wait for a worker connection before declaring it dead.
 CONNECT_TIMEOUT_S = 5.0
 
-#: Default seconds to wait for a shard's results (the
-#: ``fleet.shard_timeout`` config knob overrides it).  Generous: a shard
-#: is many simulations; this bound only catches hung peers, not slow
-#: ones — the *scheduler's* ``engine.steal_deadline`` (seconds, much
-#: shorter) is what re-splits a slow worker's chunk onto idle peers, so
-#: this timeout now only has to catch connections that are truly wedged.
+#: Default seconds to wait for a chunk's results (the
+#: ``fleet.shard_timeout`` config knob overrides it).  Generous: this
+#: bound only catches hung peers, not slow ones — the *scheduler's*
+#: ``engine.steal_deadline`` (seconds, much shorter) is what re-splits a
+#: slow worker's chunk onto idle peers, so this timeout only has to
+#: catch connections that are truly wedged.
 BATCH_TIMEOUT_S = 600.0
 
 
@@ -73,7 +71,7 @@ def _env_workers() -> List[str]:
 class _WorkerLink:
     """One persistent connection to one worker, used by one client thread
     at a time (the per-link lock covers retries landing on a survivor
-    that is mid-shard)."""
+    that is mid-chunk)."""
 
     def __init__(
         self,
@@ -206,7 +204,7 @@ class _WorkerLink:
 
 @register_backend("remote")
 class RemoteBackend(ExecutorBackend):
-    """Ship cache-miss batches to fleet workers over the wire protocol.
+    """Ship scheduler chunks to fleet workers over the wire protocol.
 
     Args:
         workers: ``host:port`` addresses.  When omitted, resolved from
@@ -214,8 +212,9 @@ class RemoteBackend(ExecutorBackend):
             a sweep script can be pointed at a fleet without code
             changes.
         max_workers: Accepted for registry-constructor uniformity;
-            parallelism is one client thread per *remote* worker.
-        shard_timeout: Seconds to wait for one shard's results before
+            parallelism is one scheduler slot per capacity unit of each
+            reachable worker.
+        shard_timeout: Seconds to wait for one chunk's results before
             declaring the connection dead (the ``fleet.shard_timeout``
             knob); defaults to :data:`BATCH_TIMEOUT_S`.  Orthogonal to
             the scheduler's ``engine.steal_deadline``: the deadline
@@ -240,9 +239,9 @@ class RemoteBackend(ExecutorBackend):
         self.secret = secret or None
         self._links: Dict[str, _WorkerLink] = {}
         self._links_lock = threading.Lock()
-        #: Batches (shards) that fell back to inline serial execution.
+        #: Chunks that fell back to inline serial execution.
         self.fallback_batches = 0
-        #: Shards retried on a surviving worker after a peer died.
+        #: Chunks retried on a surviving worker after a peer died.
         self.retried_shards = 0
 
     # ------------------------------------------------------------------
@@ -269,92 +268,32 @@ class RemoteBackend(ExecutorBackend):
         return capacities
 
     # ------------------------------------------------------------------
-    def run(self, engine, items, max_workers=None):
-        addresses = self._addresses()
-        if not items:
-            return []
-        try:
-            spec = protocol.engine_spec(engine)
-        except protocol.ProtocolError:
-            spec = None  # not remotable (mock config); run inline
-        if not addresses or spec is None:
-            self.fallback_batches += 1
-            return [_simulate_item(engine, item) for item in items]
-
-        indexed = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
-        ]
-        capacities = self._capacities(addresses)
-        if capacities:
-            # Capacity-weighted sharding: each reachable worker appears
-            # once per advertised capacity unit in the stride base, so a
-            # capacity-2 worker's single shard carries twice the items.
-            expanded = [
-                address
-                for address in addresses
-                if address in capacities
-                for _ in range(capacities[address])
-            ]
-            strides = [indexed[i :: len(expanded)] for i in range(len(expanded))]
-            by_address: Dict[str, List[Tuple]] = {}
-            for address, stride in zip(expanded, strides):
-                by_address.setdefault(address, []).extend(stride)
-            pairs = [
-                (address, sorted(shard))
-                for address, shard in by_address.items()
-                if shard
-            ]
-        else:
-            # Nothing answered the probe: keep the legacy equal
-            # sharding over every configured address, so each shard
-            # walks the usual retry-then-inline-fallback path and the
-            # failure counters stay exactly as before.
-            shards = [indexed[i :: len(addresses)] for i in range(len(addresses))]
-            pairs = [
-                (address, shard)
-                for address, shard in zip(addresses, shards)
-                if shard
-            ]
-        results: List[Optional[WorkResult]] = [None] * len(items)
-        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-            shard_outcomes = pool.map(
-                lambda pair: self._run_shard(
-                    engine, spec, pair[1], preferred=pair[0],
-                    all_addresses=addresses,
-                ),
-                pairs,
-            )
-            for outcome in shard_outcomes:
-                for position, result in outcome:
-                    results[position] = result
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
     def pull_slots(self, engine, max_workers=None):
         """One scheduler slot per advertised capacity unit per reachable
-        worker — ``(address, unit)`` tokens.  Empty (static fallback)
-        when the engine is not remotable or no worker answers."""
+        worker — ``(address, unit)`` tokens.  A single fallback slot when
+        the engine is not remotable or no worker answers: its chunks
+        still try every worker in :meth:`run_chunk`, then run inline."""
         addresses = self._addresses()
         if not addresses:
-            return []
+            return [0]
         try:
             protocol.engine_spec(engine)
         except protocol.ProtocolError:
-            return []
+            return [0]
         capacities = self._capacities(addresses)
-        return [
+        slots = [
             (address, unit)
             for address in addresses
             for unit in range(capacities.get(address, 0))
         ]
+        return slots or [0]
 
     def run_chunk(self, engine, items, slot=None):
         """Execute one scheduler chunk on the slot's worker.
 
-        Reuses the shard machinery — retry on survivors, then inline
-        serial fallback — so a worker crash mid-chunk degrades exactly
-        like a crash mid-shard.
+        Retries on survivors, then falls back to inline serial
+        execution, so a worker crash mid-chunk costs one round trip.
+        The fallback slot prefers the first configured worker.
         """
         addresses = self._addresses()
         try:
@@ -385,7 +324,7 @@ class RemoteBackend(ExecutorBackend):
         preferred: str,
         all_addresses: List[str],
     ) -> List[Tuple[int, WorkResult]]:
-        """Execute one shard: preferred worker, then survivors, then inline.
+        """Execute one chunk: preferred worker, then survivors, then inline.
 
         Returns (position, (key, stats-or-exception)) pairs.
         """
@@ -422,18 +361,7 @@ class RemoteBackend(ExecutorBackend):
         # No worker produced results: inline serial fallback.
         self.fallback_batches += 1
         registry.counter("fleet.fallback_batches").inc()
-        return [
-            (
-                position,
-                _simulate_item(
-                    engine,
-                    (key, _Request(layer, mapping)),
-                ),
-            )
-            for position, (key, layer, mapping) in (
-                (p, by_pos[p]) for p in sorted(by_pos)
-            )
-        ]
+        return _simulate_inline(engine, by_pos, sorted(by_pos))
 
     def _record_worker_timing(self, address, response, registry) -> None:
         """Absorb a worker's self-reported ``timing`` (optional key).
@@ -492,11 +420,7 @@ class RemoteBackend(ExecutorBackend):
                 )
         # A worker that dropped items (foreign/buggy peer) still owes the
         # engine answers: simulate the remainder inline.
-        for position in sorted(set(by_pos) - seen):
-            key, layer, mapping = by_pos[position]
-            out.append(
-                (position, _simulate_item(engine, (key, _Request(layer, mapping))))
-            )
+        out.extend(_simulate_inline(engine, by_pos, sorted(set(by_pos) - seen)))
         return out
 
     # ------------------------------------------------------------------
@@ -545,11 +469,18 @@ def resolve_executor(
     return executor
 
 
-class _Request:
-    """Minimal EvalRequest stand-in for inline fallback simulation."""
+def _simulate_inline(
+    engine, by_pos: dict, positions: Sequence[int]
+) -> List[Tuple[int, WorkResult]]:
+    """Simulate ``positions`` of a chunk in the calling thread."""
+    # Imported here: repro.engine imports this module while it is still
+    # initialising, before EvalRequest exists.
+    from repro.engine import EvalRequest
 
-    __slots__ = ("layer", "mapping")
-
-    def __init__(self, layer, mapping) -> None:
-        self.layer = layer
-        self.mapping = mapping
+    out: List[Tuple[int, WorkResult]] = []
+    for position in positions:
+        key, layer, mapping = by_pos[position]
+        out.append(
+            (position, _simulate_item(engine, (key, EvalRequest(layer, mapping))))
+        )
+    return out

@@ -132,8 +132,8 @@ class FleetWorker(socketserver.ThreadingTCPServer):
             every simulation.  Use the SQLite tier to share it with
             co-located workers and sweep drivers.
         capacity: Advertised scheduling weight (``hello.capacity``).
-            The remote backend sizes this worker's shards — and its
-            pull-scheduler slot count — proportionally.  Purely a
+            The remote backend gives this worker that many
+            pull-scheduler slots.  Purely a
             weight: simulation still serializes on the controller lock.
         secret: Opt-in shared secret.  When set, the hello carries an
             HMAC challenge and every connection must answer it before

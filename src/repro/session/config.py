@@ -289,8 +289,8 @@ class FleetConfig:
         metadata=_meta(key="fleet_capacity", kind="int",
                        help="scheduling weight a worker advertises in "
                             "its hello (repro worker) and autostarted "
-                            "workers inherit; the remote backend sizes "
-                            "shards and scheduler slots proportionally"),
+                            "workers inherit; the remote backend gives "
+                            "it that many scheduler slots"),
     )
     shard_timeout: float = field(
         default=600.0,
@@ -361,15 +361,6 @@ class TuningConfig:
     seed: int = field(
         default=0,
         metadata=_meta(kind="int", help="RNG seed for stochastic tuners"),
-    )
-    speculation: bool = field(
-        default=False,
-        metadata=_meta(kind="bool",
-                       help="let the GA tuner enqueue its predicted next "
-                            "generation at low scheduler priority while "
-                            "the current one finishes (cache-warming "
-                            "only; never changes the chosen best "
-                            "config)"),
     )
 
     def __post_init__(self) -> None:

@@ -42,13 +42,6 @@ class Tuner:
     #: Default number of proposals per round.
     batch_size = 16
 
-    #: Opt-in: enqueue :meth:`speculate` proposals as low-priority
-    #: scheduler work alongside each measured batch.  Speculative
-    #: results only ever warm the engine cache — they are never
-    #: recorded, never update the tuner, and cannot change the chosen
-    #: best config.
-    speculation = False
-
     def __init__(self, task: TuningTask, seed: int = 0) -> None:
         self.task = task
         self.seed = seed
@@ -60,15 +53,6 @@ class Tuner:
     def propose(self, count: int) -> List[int]:
         """Return up to ``count`` *unseen* config indices to measure."""
         raise NotImplementedError
-
-    def speculate(self, count: int) -> List[int]:
-        """Up to ``count`` config indices likely to be proposed next.
-
-        Must be side-effect free: calling it must not advance the
-        tuner's RNG or otherwise change what :meth:`propose` will
-        return.  The default tuner predicts nothing.
-        """
-        return []
 
     def update(self, indices: Sequence[int], costs: Sequence[float]) -> None:
         """Learn from a batch of measurements (default: nothing)."""
@@ -86,7 +70,10 @@ class Tuner:
             n_trials: Maximum number of measurements.
             early_stopping: Stop after this many trials without improving
                 the best cost (AutoTVM's "early stopping" utility, which
-                the paper uses to detect convergence).
+                the paper uses to detect convergence).  Patience only
+                runs once a valid config has been found, so a space whose
+                first trials are all invalid is searched to the budget
+                rather than abandoned.
             records: Optional pre-existing history to append to.
         """
         if n_trials < 1:
@@ -109,13 +96,7 @@ class Tuner:
             # The whole generation is measured in one batch, so the
             # task can submit it to the engine's executor backend
             # (threads/processes) instead of one trial at a time.
-            speculative = self.speculate(want) if self.speculation else []
-            if speculative:
-                results = self.task.measure_batch(
-                    indices, speculative=speculative
-                )
-            else:
-                results = self.task.measure_batch(indices)
+            results = self.task.measure_batch(indices)
             costs: List[float] = []
             measured: List[int] = []
             for index, result in zip(indices, results):
@@ -128,7 +109,11 @@ class Tuner:
                     trials_since_best = 0
                 else:
                     trials_since_best += 1
-                if early_stopping and trials_since_best >= early_stopping:
+                if (
+                    early_stopping
+                    and best_config is not None
+                    and trials_since_best >= early_stopping
+                ):
                     stopped_early = True
                     break
             self.update(measured, costs)

@@ -132,32 +132,6 @@ class GATuner(Tuner):
                     break
         return batch
 
-    def speculate(self, count: int) -> List[int]:
-        """Predict the next generation's offspring without committing.
-
-        Draws one :meth:`_next_generation` under a saved-and-restored
-        RNG state, so the *real* next ``propose`` replays identical
-        random numbers — speculation can never perturb the search
-        trajectory.  The prediction uses current fitness, which is one
-        generation stale at speculate time; offspring that the real
-        generation reproduces are cache hits, the rest are wasted idle
-        cycles, never wrong results.
-        """
-        if len(self._population) == 0 or count <= 0:
-            return []
-        state = self._rng.bit_generator.state
-        try:
-            batch: List[int] = []
-            for index in self._genes_to_indices(self._next_generation()):
-                index = int(index)
-                if index not in self._seen and index not in batch:
-                    batch.append(index)
-                if len(batch) >= count:
-                    break
-        finally:
-            self._rng.bit_generator.state = state
-        return batch
-
     def update(self, indices, costs) -> None:
         for index, cost in zip(indices, costs):
             self._fitness[index] = cost

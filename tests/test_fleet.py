@@ -216,8 +216,8 @@ class TestWorkerDaemon:
             backend = RemoteBackend(workers=[server.address])
             key = ("shared-key",)
             items = [(key, EvalRequest(_conv(), ConvMapping(T_R=3)))]
-            first = backend.run(engine, items)
-            second = backend.run(engine, items)
+            first = backend.run_chunk(engine, items)
+            second = backend.run_chunk(engine, items)
             assert first[0][1].to_dict() == second[0][1].to_dict()
             assert cache.hits == 1  # the second batch hit the worker cache
             backend.close()

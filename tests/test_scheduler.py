@@ -1,16 +1,14 @@
 """Saturation scheduler tests.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * :class:`~repro.engine.scheduler.WorkQueue` unit tests pin the steal /
-  re-split / speculation counters *exactly* under an injectable fake
-  clock — no timing assumptions;
+  re-split counters *exactly* under an injectable fake clock — no
+  timing assumptions;
 * :func:`~repro.engine.scheduler.run_plan_groups` integration tests
-  prove the pull path bit-identical to ``--executor serial`` on the
-  thread and process backends, including under injected slow workers
-  and straggler re-splits;
-* tuner-level tests prove speculative GA evaluation can never perturb
-  the search trajectory (RNG snapshot) or the chosen best config.
+  prove the pull path bit-identical to the cycle models on the serial,
+  thread and process backends, including under injected slow workers,
+  straggler re-splits and groups spread over several backends.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import pytest
 
 import repro.engine.backends as backends_mod
 from repro.engine import EvalRequest, EvaluationEngine, evaluation_key
-from repro.engine.backends import ThreadBackend
+from repro.engine.backends import SerialBackend, ThreadBackend
 from repro.engine.scheduler import (
     Chunk,
     WorkQueue,
@@ -34,9 +32,8 @@ from repro.engine.scheduler import (
 )
 from repro.errors import SimulationError
 from repro.stonne.config import sigma_config
+from repro.stonne.controller import make_controller
 from repro.stonne.layer import FcLayer
-from repro.tuner import CallableTask, GATuner, MaeriFcTask
-from repro.tuner.space import ConfigSpace
 
 
 class FakeClock:
@@ -52,10 +49,9 @@ class FakeClock:
         self.now += seconds
 
 
-def _chunk(slots, items, home=None, priority=0, group=0):
+def _chunk(slots, items, home=None, group=0):
     return Chunk(
-        engine=None, group=group, slots=slots, items=items,
-        home=home, priority=priority,
+        engine=None, group=group, slots=slots, items=items, home=home,
     )
 
 
@@ -138,36 +134,6 @@ class TestWorkQueue:
         assert duplicate.slots == [0, 2]
         assert [key for key, _ in duplicate.items] == ["a", "c"]
 
-    def test_speculative_lane_and_accounting(self):
-        queue = WorkQueue(1, [1], clock=FakeClock())
-        normal = _chunk([0], [("k", None)], home=0)
-        spec = _chunk(None, [("s", None)], priority=1, group=None)
-        queue.add(spec)
-        queue.add(normal)
-        # Normal work is preferred even though speculation queued first.
-        assert queue.pull(0) is normal
-        # An idle slot with no normal work takes the speculative chunk.
-        assert queue.pull(1) is spec
-        assert queue.counters["speculative_pulled"] == 1
-        queue.complete(spec, [("s", "sres")])
-        assert queue.spec_results == [("s", "sres")]
-        assert queue.results[0] == [None]  # spec never touches plans
-        queue.complete(normal, [("k", "r")])
-        assert queue.pull(0) is None
-
-    def test_speculation_cancelled_when_normal_work_finishes(self):
-        queue = WorkQueue(1, [1], clock=FakeClock())
-        normal = _chunk([0], [("k", None)], home=0)
-        spec = _chunk(None, [("s", None)], priority=1, group=None)
-        queue.add(normal)
-        queue.add(spec)
-        assert queue.pull(0) is normal
-        queue.complete(normal, [("k", "r")])
-        assert queue.pull(0) is None
-        assert queue.counters["speculative_cancelled"] == 1
-        assert queue.counters["speculative_pulled"] == 0
-        assert queue.spec_results == []
-
     def test_idle_time_is_exact_under_fake_clock(self):
         clock = FakeClock()
         queue = WorkQueue(1, [1], clock=clock)
@@ -191,9 +157,7 @@ class TestWorkQueue:
         counters = zero_counters()
         assert counters["idle_time_s"] == 0.0
         assert set(counters) == {
-            "chunks_pulled", "steals", "resplits", "speculative_pulled",
-            "speculative_cancelled", "speculative_simulations",
-            "idle_time_s",
+            "chunks_pulled", "steals", "resplits", "idle_time_s",
         }
 
 
@@ -223,7 +187,6 @@ class TestRunPlanGroups:
         engine = EvaluationEngine(config, executor="thread", max_workers=4)
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
-        assert report["mode"] == "pull"
         assert [s.to_dict() for s in plan.results] == expected
         # 10 distinct items, auto chunk size 1 -> 10 normal pulls (plus
         # any re-splits, which the 5 s default deadline rules out here).
@@ -241,7 +204,6 @@ class TestRunPlanGroups:
         try:
             plan = engine.plan_many([EvalRequest(l) for l in layers])
             report = run_plan_groups([(engine, [plan])])
-            assert report["mode"] == "pull"
             assert [s.to_dict() for s in plan.results] == expected
         finally:
             engine.backend.close()
@@ -266,7 +228,6 @@ class TestRunPlanGroups:
             report = run_plan_groups(
                 [(engine_a, [plan_a]), (engine_b, [plan_b])]
             )
-            assert report["mode"] == "pull"
             assert [s.to_dict() for s in plan_a.results] == expected_a
             assert [s.to_dict() for s in plan_b.results] == expected_b
             assert report["chunks_pulled"] == 9
@@ -280,16 +241,73 @@ class TestRunPlanGroups:
         with pytest.raises(SimulationError):
             run_plan_groups([(engine_b, [plan])])
 
-    def test_serial_backend_stays_static(self):
+    @pytest.mark.parametrize(
+        "executor,max_workers",
+        [("serial", None), ("thread", 1), ("process", 1)],
+    )
+    def test_serial_drains_on_the_calling_thread(
+        self, monkeypatch, executor, max_workers
+    ):
+        # A one-slot backend is drained by the caller: no puller thread,
+        # the caller's own controller, and the whole group as one chunk.
+        real = backends_mod.simulate_chunk
+        calls = []
+
+        def recording(controller, pairs, functional):
+            calls.append((
+                threading.current_thread(),
+                len(pairs),
+                [t.name for t in threading.enumerate()
+                 if t.name.startswith("repro-puller-")],
+            ))
+            return real(controller, pairs, functional)
+
+        monkeypatch.setattr(backends_mod, "simulate_chunk", recording)
         layers = _layers(4)
         config = sigma_config()
-        expected = self._serial_reference(config, layers)
-        engine = EvaluationEngine(config, executor="serial")
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups([(engine, [plan])])
-        assert report["mode"] == "static"
-        assert report["chunks_pulled"] == 0
+        # The reference bypasses the engine and scheduler entirely.
+        reference = make_controller(config)
+        expected = [reference.run_fc(l, None).to_dict() for l in layers]
+        engine = EvaluationEngine(
+            config, executor=executor, max_workers=max_workers
+        )
+        try:
+            plan = engine.plan_many([EvalRequest(l) for l in layers])
+            report = run_plan_groups([(engine, [plan])])
+        finally:
+            engine.close()
+        assert calls == [(threading.current_thread(), 4, [])]
+        assert report["chunks_pulled"] == 1
+        assert report["steals"] == report["resplits"] == 0
         assert [s.to_dict() for s in plan.results] == expected
+        assert engine.num_simulations == 4
+
+    def test_groups_on_distinct_backends_resolve_bit_identically(self):
+        config_a = sigma_config()
+        config_b = sigma_config(ms_size=64)
+        layers_a = _layers(5)
+        layers_b = _layers(4, width=16)
+        expected_a = self._serial_reference(config_a, layers_a)
+        expected_b = self._serial_reference(config_b, layers_b)
+        serial = SerialBackend()
+        threads = ThreadBackend(max_workers=2)
+        engine_a = EvaluationEngine(config_a, executor=serial)
+        engine_b = EvaluationEngine(config_b, executor=threads, max_workers=2)
+        engine_c = EvaluationEngine(config_b, executor=serial)
+        plan_a = engine_a.plan_many([EvalRequest(l) for l in layers_a])
+        plan_b = engine_b.plan_many([EvalRequest(l) for l in layers_b])
+        plan_c = engine_c.plan_many([EvalRequest(l) for l in layers_b])
+        report = run_plan_groups([
+            (engine_a, [plan_a]), (engine_b, [plan_b]), (engine_c, [plan_c]),
+        ])
+        assert [s.to_dict() for s in plan_a.results] == expected_a
+        assert [s.to_dict() for s in plan_b.results] == expected_b
+        assert [s.to_dict() for s in plan_c.results] == expected_b
+        # The serial backend drained both of its groups as one chunk
+        # each; the thread backend chunked its group per item.
+        assert backend_counters(serial)["chunks_pulled"] == 2
+        assert backend_counters(threads)["chunks_pulled"] == 4
+        assert report["chunks_pulled"] == 6
 
     def test_slow_worker_gets_its_tail_stolen(self, monkeypatch):
         real = backends_mod.simulate_layer
@@ -310,7 +328,6 @@ class TestRunPlanGroups:
         report = run_plan_groups([(engine, [plan])])
         # While one slot holds fc0 for 0.3 s the other drains the rest,
         # including chunks whose static home was the busy slot.
-        assert report["mode"] == "pull"
         assert report["steals"] >= 1
         assert [s.to_dict() for s in plan.results] == expected
 
@@ -353,7 +370,6 @@ class TestRunPlanGroups:
         )
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])], return_errors=True)
-        assert report["mode"] == "pull"
         assert isinstance(plan.results[3], ValueError)
         assert all(
             not isinstance(result, Exception)
@@ -366,135 +382,6 @@ class TestRunPlanGroups:
         plan_b = engine_b.plan_many([EvalRequest(l) for l in layers])
         with pytest.raises(ValueError, match="injected failure"):
             run_plan_groups([(engine_b, [plan_b])])
-
-
-class TestSpeculativeExecution:
-    def test_speculation_warms_cache_without_counting(self, monkeypatch):
-        real = backends_mod.simulate_layer
-
-        def slow_fc0(controller, layer, mapping, functional):
-            if layer.name == "fc0":
-                time.sleep(0.3)
-            return real(controller, layer, mapping, functional)
-
-        monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        layers = _layers(8)
-        spec_layers = [
-            FcLayer(f"spec{i}", in_features=32 + i, out_features=32)
-            for i in range(2)
-        ]
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2, chunk_size=1
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            speculative=[EvalRequest(l) for l in spec_layers],
-        )
-        # While fc0 blocks one slot, the other runs out of normal work
-        # and takes the speculative chunk.
-        assert report["speculative_pulled"] >= 1
-        assert report["speculative_simulations"] == 2
-        # Speculative results warm the cache but never count as engine
-        # simulations ...
-        assert engine.num_simulations == 8
-        before = engine.num_simulations
-        for layer in spec_layers:
-            engine.evaluate(layer)
-        # ... so evaluating the speculated layers is all cache hits.
-        assert engine.num_simulations == before
-
-    def test_speculation_always_resolves_pulled_or_cancelled(self):
-        layers = _layers(2)
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2, chunk_size=1
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            speculative=[EvalRequest(_layers(1, width=32)[0])],
-        )
-        # With as many items as slots the single speculative chunk is
-        # either pulled by a slot that finished early or cancelled when
-        # normal work completes — never lost.
-        assert (
-            report["speculative_pulled"] + report["speculative_cancelled"]
-            == 1
-        )
-
-    def test_speculative_duplicates_of_pending_work_are_dropped(self):
-        layers = _layers(4)
-        engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups(
-            [(engine, [plan])],
-            # Same keys as the pending work: nothing to speculate.
-            speculative=[EvalRequest(l) for l in layers],
-        )
-        assert report["speculative_pulled"] == 0
-        assert report["speculative_simulations"] == 0
-
-
-def _toy_task():
-    space = ConfigSpace()
-    space.define_knob("a", list(range(8)))
-    space.define_knob("b", list(range(8)))
-    return CallableTask(space, lambda c: abs(c["a"] * 8 + c["b"] - 37))
-
-
-class TestGaSpeculation:
-    def test_speculate_never_advances_the_rng(self):
-        a, b = GATuner(_toy_task(), seed=7), GATuner(_toy_task(), seed=7)
-        for _ in range(3):
-            pa, pb = a.propose(8), b.propose(8)
-            assert pa == pb
-            costs = [float(i) for i in range(len(pa))]
-            a._seen.update(pa)
-            b._seen.update(pb)
-            a.update(pa, costs)
-            b.update(pb, costs)
-            # Only tuner ``a`` speculates; its trajectory must not move.
-            assert a.speculate(8) == a.speculate(8)
-
-    def test_speculate_empty_before_first_generation(self):
-        tuner = GATuner(_toy_task(), seed=1)
-        assert tuner.speculate(8) == []
-
-    def test_speculation_cannot_change_the_best_config(self):
-        baseline = GATuner(_toy_task(), seed=11).tune(n_trials=48)
-        speculating = GATuner(_toy_task(), seed=11)
-        speculating.speculation = True
-        result = speculating.tune(n_trials=48)
-        assert result.best_cost == baseline.best_cost
-        assert result.best_config == baseline.best_config
-        assert [t.index for t in result.records.trials] == [
-            t.index for t in baseline.records.trials
-        ]
-
-    def test_engine_backed_speculation_is_bit_identical(self, small_fc):
-        config = sigma_config()
-        serial_engine = EvaluationEngine(config)
-        serial_task = MaeriFcTask(
-            small_fc, config, objective="cycles", engine=serial_engine
-        )
-        baseline = GATuner(serial_task, seed=3).tune(n_trials=32)
-
-        pull_engine = EvaluationEngine(
-            config, executor="thread", max_workers=2
-        )
-        pull_task = MaeriFcTask(
-            small_fc, config, objective="cycles", engine=pull_engine
-        )
-        tuner = GATuner(pull_task, seed=3)
-        tuner.speculation = True
-        result = tuner.tune(n_trials=32)
-        assert result.best_cost == baseline.best_cost
-        assert result.best_config == baseline.best_config
-        assert [t.cost for t in result.records.trials] == [
-            t.cost for t in baseline.records.trials
-        ]
 
 
 class _DuckCache:

@@ -111,6 +111,40 @@ class TestEarlyStopping:
         assert result.stopped_early
         assert result.num_trials < 256
 
+    def test_patience_waits_for_the_first_valid_config(self):
+        # Grid order visits a=0,1,2,...; the first 150 configs are
+        # invalid.  Patience (120) must only start counting once a valid
+        # config has been found, then stop 120 trials after it.
+        space = ConfigSpace()
+        space.define_knob("a", list(range(400)))
+        task = CallableTask(
+            space, lambda c: INVALID_COST if c["a"] < 150 else c["a"]
+        )
+        result = GridSearchTuner(task).tune(n_trials=400, early_stopping=120)
+        assert result.best_config == {"a": 150}
+        assert result.best_cost == 150
+        assert result.stopped_early
+        assert result.num_trials == 151 + 120
+
+    def test_tuned_alexnet_seed1_finds_a_mapping_for_every_layer(self):
+        # At this seed XGB's first 120 trials on conv2 are all invalid;
+        # before patience waited for a valid config the sweep raised
+        # TuningError("tuning found no valid mapping for layer 'conv2'").
+        from repro.session import Session
+        from repro.sweep import SweepPlan
+
+        with Session(
+            arch="maeri", mapping="tuned", objective="psums", seed=1
+        ) as session:
+            report = session.sweep(
+                SweepPlan.matrix(session.config, ["alexnet"])
+            )
+        stats = {s.layer_name: s for s in report.scenarios[0].report.layer_stats}
+        assert list(stats) == [
+            "conv1", "conv2", "conv3", "conv4", "conv5", "fc1", "fc2", "fc3",
+        ]
+        assert stats["conv2"].psums == 30_855_168
+
     def test_bad_trial_count_rejected(self):
         with pytest.raises(TuningError):
             GridSearchTuner(quadratic_space()).tune(n_trials=0)
