@@ -9,9 +9,10 @@ Typical use, mirroring Listing 1 through the unified Session API::
         result = s.run(model, input_batch)
         print(result.total_cycles)
 
-The entry points below remain for existing code; ``make_session`` and
-the ``executor=`` keyword arguments are deprecation shims forwarding to
-:class:`repro.session.Session`.
+The names below are the paper's layer: the packed-func endpoint
+(:class:`StonneBifrostApi`), the mapping configurator and the Listing-1
+runners, which take a :class:`~repro.session.Session` (or its ``.api``)
+and execute on that session's engine.
 """
 
 from repro.bifrost.api import (
@@ -33,7 +34,6 @@ from repro.bifrost.reporting import (
 )
 from repro.bifrost.runner import (
     BifrostRunResult,
-    make_session,
     run_graph,
     run_layers,
     run_torch_stonne,
@@ -59,7 +59,6 @@ __all__ = [
     "feature_table",
     "get_packed_func",
     "install_session",
-    "make_session",
     "register_packed_funcs",
     "registered_packed_funcs",
     "run_graph",

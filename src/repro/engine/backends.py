@@ -460,8 +460,7 @@ def make_backend(
     """Resolve a backend name (or pass an instance through).
 
     ``None`` resolves to :class:`ThreadBackend` when ``max_workers``
-    asks for parallelism and :class:`SerialBackend` otherwise, matching
-    the engine's historical defaults.
+    asks for parallelism and :class:`SerialBackend` otherwise.
     """
     if isinstance(executor, ExecutorBackend):
         return executor

@@ -378,13 +378,7 @@ def _interleave(per_group: List[List[Chunk]]) -> List[Chunk]:
 # the entry point
 # ----------------------------------------------------------------------
 def run_plan_groups(
-    groups: Sequence[Tuple[Any, Sequence[Any]]],
-    max_workers: Optional[int] = None,
-    executor=None,
-    return_errors: bool = False,
-    chunk_size: Optional[int] = None,
-    steal_deadline: Optional[float] = None,
-    clock=None,
+    groups: Sequence[Tuple[Any, Sequence[Any]]], *, return_errors: bool = False
 ) -> Dict[str, Any]:
     """Execute the pending misses of several engines' plans.
 
@@ -392,7 +386,10 @@ def run_plan_groups(
     misses are flattened with cross-plan dedup (the engine's own
     :meth:`~repro.engine.EvaluationEngine.run_plans` semantics), then
     chunked onto a :class:`WorkQueue` per backend and drained by one
-    puller per slot the backend advertises.
+    puller per slot the backend advertises.  Groups run on their
+    engine's ``backend``; groups whose engines share one backend
+    instance share one queue, and the first such engine's
+    ``max_workers``/``chunk_size``/``steal_deadline`` apply to it.
 
     Returns the scheduler counter report for this invocation, summed
     over backends.  Errors obey ``return_errors`` exactly like
@@ -416,30 +413,18 @@ def run_plan_groups(
         entry = (engine, plans, work, owners)
         collected.append(entry)
         if work:
-            backend = engine._resolve_backend(executor, max_workers)
+            backend = engine.backend
             by_backend.setdefault(id(backend), (backend, []))[1].append(entry)
 
     report = zero_counters()
     for backend, entries in by_backend.values():
         lead_engine = entries[0][0]
-        workers = (
-            max_workers if max_workers is not None else lead_engine.max_workers
-        )
         counters = _run_scheduled(
             entries,
             backend,
-            backend.pull_slots(lead_engine, max_workers=workers),
-            chunk_size=(
-                chunk_size
-                if chunk_size is not None
-                else getattr(lead_engine, "chunk_size", None)
-            ),
-            steal_deadline=(
-                steal_deadline
-                if steal_deadline is not None
-                else getattr(lead_engine, "steal_deadline", None)
-            ),
-            clock=clock,
+            backend.pull_slots(lead_engine, max_workers=lead_engine.max_workers),
+            chunk_size=lead_engine.chunk_size,
+            steal_deadline=lead_engine.steal_deadline,
         )
         _accumulate(backend, counters)
         for key in COUNTER_KEYS:
@@ -471,7 +456,6 @@ def _run_scheduled(
     slots: List,
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
-    clock,
 ) -> Dict[str, Any]:
     """Chunk, enqueue and drain one backend's groups."""
     with TRACER.span(
@@ -479,7 +463,7 @@ def _run_scheduled(
         groups=len(entries), slots=len(slots),
     ):
         return _run_scheduled_inner(
-            entries, backend, slots, chunk_size, steal_deadline, clock
+            entries, backend, slots, chunk_size, steal_deadline
         )
 
 
@@ -489,12 +473,10 @@ def _run_scheduled_inner(
     slots: List,
     chunk_size: Optional[int],
     steal_deadline: Optional[float],
-    clock,
 ) -> Dict[str, Any]:
     queue = WorkQueue(
         num_groups=len(entries),
         group_sizes=[len(work) for _e, _p, work, _o in entries],
-        clock=clock,
         steal_deadline=steal_deadline,
     )
 

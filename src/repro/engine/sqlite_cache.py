@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Dict, Hashable, Optional, Tuple, Union
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, StatsCache, _freeze
+from repro.errors import ConfigError
 from repro.obs.trace import TRACER
 from repro.stonne.stats import SimulationStats
 
@@ -86,6 +87,8 @@ class SqliteStatsCache(StatsCache):
 
     Args:
         path: The database file; created (with parents) when missing.
+            A file that is not a readable SQLite database raises
+            :class:`~repro.errors.ConfigError`.
         max_entries: L1 LRU bound, as for :class:`StatsCache`.
         max_rows: Row-count cap for the shared database tier; ``None``
             (the default) keeps the historical unbounded behaviour.
@@ -113,12 +116,22 @@ class SqliteStatsCache(StatsCache):
         self._conn = sqlite3.connect(
             str(self.path), timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(_SCHEMA)
-        self._migrate_schema()
-        self._conn.execute(_ACCESS_INDEX)
-        self._conn.commit()
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(_SCHEMA)
+            self._migrate_schema()
+            self._conn.execute(_ACCESS_INDEX)
+            self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            # A junk or truncated file: fail as bad configuration, not
+            # with a sqlite3 traceback, and leak no connection.
+            self._conn.close()
+            self._closed = True
+            raise ConfigError(
+                f"cache file {str(self.path)!r} is not a usable SQLite "
+                f"database: {exc}"
+            ) from None
         self._closed = False
 
     def _migrate_schema(self) -> None:

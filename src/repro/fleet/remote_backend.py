@@ -455,9 +455,9 @@ def resolve_executor(
     """The executor an engine should use given an optional fleet.
 
     A non-empty ``workers`` list (or comma-separated string) implies the
-    remote backend unless a *different* executor is explicitly named —
-    the single rule shared by the CLI's ``--workers`` flag and
-    ``make_session(workers=...)``, so the two can never diverge.
+    remote backend unless a *different* executor is explicitly named.
+    :class:`repro.session.Session` applies this rule to ``fleet.workers``,
+    however it was set (``--workers``, ``REPRO_FLEET_WORKERS``, a file).
     """
     if workers and executor in (None, "remote"):
         return RemoteBackend(

@@ -24,9 +24,9 @@ fleet client, packed-func registration), exposes ``run`` / ``run_graph``
 objects with ``to_json``/``from_json``, and guarantees deterministic
 teardown via ``close()`` / the context-manager protocol.
 
-The legacy entry points (``make_session``, ``run_layers`` with
-``executor=``, ``StonneBifrostApi(executor=...)``) keep working as
-deprecation shims that forward here.
+It is the one place execution is configured: the Listing-1 runners in
+:mod:`repro.bifrost` take a session (or its ``.api``) and run on the
+engine it built.
 """
 
 from repro.session.config import (

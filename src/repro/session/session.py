@@ -1,9 +1,8 @@
 """The Session facade: one object that owns the whole measurement stack.
 
-The paper's Bifrost frontend is "one API, seven steps" (§V); three PRs
-of growth scattered that API across ``make_session``, engine kwargs,
-fleet flags and tuner options.  :class:`Session` restores the single
-surface: build it from a :class:`~repro.session.config.SessionConfig`
+The paper's Bifrost frontend is "one API, seven steps" (§V), and
+:class:`Session` is that single surface for the whole stack: build it
+from a :class:`~repro.session.config.SessionConfig`
 (or any of that class's layers), use it as a context manager, and every
 resource — the :class:`~repro.engine.EvaluationEngine`, the cache
 tiers, the fleet client, the packed-func registration — is created in
@@ -31,8 +30,7 @@ Graph workloads go through the same object::
 Teardown is guaranteed: ``close()`` (or leaving the ``with`` block)
 drains executor pools (thread/process workers), disconnects fleet
 workers, closes SQLite connections and JSONL spills, and uninstalls
-packed functions — the resource leaks of the pre-Session entry points
-cannot recur.
+packed functions, so nothing a session built outlives it.
 """
 
 from __future__ import annotations
@@ -65,9 +63,10 @@ class Session:
             built from ``overrides`` (kwargs layer) over the ``REPRO_*``
             environment over defaults.
         simulator_config: A prebuilt (validated) hardware config that
-            bypasses the architecture section — the adapter path used by
-            the legacy ``make_session`` shim and by tests that hand-roll
-            :class:`~repro.stonne.config.SimulatorConfig` objects.
+            bypasses the architecture section, for callers that hand-roll
+            :class:`~repro.stonne.config.SimulatorConfig` objects (e.g.
+            ``maeri_config(ms_size=64)``).  Every other section of
+            ``config`` still applies.
         params: Cycle-model calibration constants.
         **overrides: Flat config keys (see
             :func:`repro.session.config.known_keys`) overriding

@@ -267,8 +267,8 @@ class SweepRunner:
         # Phase 2: every engine group through one work-stealing queue —
         # cross-scenario duplicates simulate once, engine groups overlap
         # instead of running back to back, and fast executor slots steal
-        # the tail of slow ones' load.  (Single-slot backends fall back
-        # to one static batch per group inside run_plan_groups.)
+        # the tail of slow ones' load.  (A one-slot backend drains each
+        # group as one chunk on the calling thread.)
         from repro.engine.scheduler import run_plan_groups
 
         self._emit(

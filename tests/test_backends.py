@@ -177,24 +177,6 @@ class TestBackendParity:
                 [EvalRequest(good, ConvMapping(T_R=128, T_S=128))]
             )
 
-    def test_run_layers_executor_override(self, maeri128):
-        from repro.bifrost.runner import make_session, run_layers
-
-        layers = [
-            ConvLayer(f"c{i}", C=2, H=8, W=8, K=4, R=3, S=3) for i in range(3)
-        ]
-        baseline = run_layers(layers, make_session(maeri128))
-        session = make_session(maeri128)
-        threaded = run_layers(layers, session, executor="thread")
-        assert baseline == threaded
-        # The override backend is cached on the engine (one pool across
-        # calls) and released by close().
-        assert session.engine._resolve_backend("thread", None) is (
-            session.engine._resolve_backend("thread", None)
-        )
-        session.engine.close()
-        assert session.engine._override_backends == {}
-
 
 class TestPersistentCache:
     def test_round_trip(self, tmp_path, maeri128):
@@ -386,59 +368,48 @@ class TestGADeterminism:
 
 class TestEngineRoutedApi:
     def test_repeated_conv_shapes_skip_cycle_model(self, maeri128, rng):
-        from repro.bifrost.runner import make_session
+        from repro.session import Session
 
-        session = make_session(maeri128)
         data = rng.normal(size=(1, 4, 10, 10))
         weights = rng.normal(size=(8, 4, 3, 3))
-        out1 = session.conv2d_nchw(data, weights)
-        out2 = session.conv2d_nchw(data, weights)
-        assert session.engine.num_simulations == 1  # second call cached
-        assert len(session.stats) == 2
-        assert session.stats[0].layer_name == "conv2d"
-        assert session.stats[1].layer_name == "conv2d#1"
-        assert session.stats[0].cycles == session.stats[1].cycles
+        with Session(simulator_config=maeri128) as s:
+            out1 = s.api.conv2d_nchw(data, weights)
+            out2 = s.api.conv2d_nchw(data, weights)
+            assert s.engine.num_simulations == 1  # second call cached
+        stats = s.api.stats
+        assert len(stats) == 2
+        assert stats[0].layer_name == "conv2d"
+        assert stats[1].layer_name == "conv2d#1"
+        assert stats[0].cycles == stats[1].cycles
         # The functional datapath executed both times.
         assert out1 == pytest.approx(out2)
 
     def test_repeated_dense_shapes_skip_cycle_model(self, maeri128, rng):
-        from repro.bifrost.runner import make_session
+        from repro.session import Session
 
-        session = make_session(maeri128)
         data = rng.normal(size=(1, 32))
         weights = rng.normal(size=(16, 32))
-        out1 = session.dense(data, weights)
-        session.dense(data, weights)
-        assert session.engine.num_simulations == 1
+        with Session(simulator_config=maeri128) as s:
+            out1 = s.api.dense(data, weights)
+            s.api.dense(data, weights)
+            assert s.engine.num_simulations == 1
         assert out1 == pytest.approx(data @ weights.T)
 
-    def test_run_graph_bad_executor_fails_before_install(self, maeri128):
-        from repro.bifrost.runner import make_session, run_graph
-        from repro.bifrost.strategies import active_session
-        from repro.models import lenet_graph
-
-        with pytest.raises(ConfigError, match="no executor backend"):
-            run_graph(lenet_graph(), {}, make_session(maeri128),
-                      executor="bogus")
-        # The failure must not leave the session installed process-wide.
-        assert active_session() is None
-
     def test_session_cache_path_persists(self, tmp_path, maeri128, rng):
-        from repro.bifrost.runner import make_session
+        from repro.session import Session
 
         path = tmp_path / "session.jsonl"
         data = rng.normal(size=(1, 4, 10, 10))
         weights = rng.normal(size=(8, 4, 3, 3))
 
-        cold = make_session(maeri128, cache_path=str(path))
-        cold.conv2d_nchw(data, weights)
-        assert cold.engine.num_simulations == 1
-        cold.engine.cache.close()
+        with Session(simulator_config=maeri128, cache_path=str(path)) as cold:
+            cold.api.conv2d_nchw(data, weights)
+            assert cold.engine.num_simulations == 1
 
-        warm = make_session(maeri128, cache_path=str(path))
-        warm.conv2d_nchw(data, weights)
-        assert warm.engine.num_simulations == 0
-        assert warm.engine.cache.hit_rate == 1.0
+        with Session(simulator_config=maeri128, cache_path=str(path)) as warm:
+            warm.api.conv2d_nchw(data, weights)
+            assert warm.engine.num_simulations == 0
+            assert warm.engine.cache.hit_rate == 1.0
 
 
 class TestCliEngineFlags:

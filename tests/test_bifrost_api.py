@@ -24,6 +24,17 @@ def make_api(config, strategy=MappingStrategy.DEFAULT):
     )
 
 
+class TestConstruction:
+    def test_plain_construction_builds_a_serial_engine(self, rng, maeri128):
+        api = make_api(maeri128)
+        assert api.engine.backend.name == "serial"
+        assert api.mappings.engine is api.engine
+        with api:
+            out = api.dense(rng.normal(size=(1, 8)), rng.normal(size=(4, 8)))
+        assert out.shape == (1, 4)
+        assert api.engine.num_simulations == 1
+
+
 class TestConv2dNchw:
     def test_output_matches_reference_all_architectures(self, rng):
         data = rng.normal(size=(1, 3, 10, 10))

@@ -177,6 +177,55 @@ _WRITER_SCRIPT = textwrap.dedent(
 )
 
 
+class TestCorruptSqliteFile:
+    """A junk or truncated ``.sqlite`` path is bad configuration: one
+    ConfigError naming the file, no sqlite3 traceback, no leaked
+    connection."""
+
+    @pytest.fixture(params=["junk", "truncated"])
+    def corrupt_path(self, request, tmp_path):
+        path = tmp_path / f"{request.param}.sqlite"
+        if request.param == "junk":
+            path.write_bytes(bytes(range(200, 230)))  # 30 junk bytes
+        else:
+            real = tmp_path / "real.sqlite"
+            with SqliteStatsCache(real) as cache:
+                for i in range(200):
+                    cache.put(("k", i), _stats(cycles=i))
+            assert real.stat().st_size > 3000
+            path.write_bytes(real.read_bytes()[:3000])
+        return path
+
+    def test_session_raises_config_error(self, corrupt_path, monkeypatch):
+        import sqlite3
+
+        from repro.errors import ConfigError
+        from repro.session import Session
+
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        with pytest.raises(ConfigError, match=corrupt_path.name):
+            Session(cache_path=str(corrupt_path))
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+
+    def test_cli_prints_one_error_line(self, corrupt_path, capsys):
+        from repro.cli import main
+
+        argv = ["run", "lenet", "--cache-path", str(corrupt_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and str(corrupt_path) in err
+
+
 def test_two_processes_share_one_sqlite_cache(tmp_path):
     """Acceptance criterion: two concurrent *processes* sharing one
     SqliteStatsCache each observe the other's inserts within the same

@@ -134,9 +134,12 @@ class TestBatchEvaluation:
             for i in range(6)
         ] + [EvalRequest(FcLayer("f", in_features=32, out_features=16))]
         sequential = EvaluationEngine(maeri128).evaluate_many(requests)
-        parallel = EvaluationEngine(maeri128).evaluate_many(
-            requests, max_workers=4
-        )
+        engine = EvaluationEngine(maeri128, max_workers=4)
+        try:
+            parallel = engine.evaluate_many(requests)
+            assert engine.backend.name == "thread"
+        finally:
+            engine.close()
         assert sequential == parallel
         assert [s.layer_name for s in parallel] == [
             r.layer.name for r in requests

@@ -402,16 +402,14 @@ class TestRegistryAndSession:
         assert backend.ping() == {worker.address: True}
         backend.close()
 
-    def test_make_session_with_workers_uses_remote_backend(self, worker):
-        from repro.bifrost import make_session
+    def test_session_with_workers_uses_remote_backend(self, worker):
+        from repro.session import Session
 
-        session = make_session(CONFIG, workers=[worker.address])
-        assert isinstance(session.engine.backend, RemoteBackend)
-        layer = _conv()
-        stats = session.engine.evaluate_many([EvalRequest(layer, ConvMapping())])
+        with Session(simulator_config=CONFIG, workers=[worker.address]) as s:
+            assert isinstance(s.engine.backend, RemoteBackend)
+            stats = s.engine.evaluate_many([EvalRequest(_conv(), ConvMapping())])
         assert stats[0].cycles > 0
         assert worker.items_served == 1
-        session.engine.close()
 
     def test_tuned_best_cost_remote_equals_serial(self, worker):
         """The acceptance criterion: a GA tune through the remote backend

@@ -1,14 +1,13 @@
 """Tests for the Session facade: lifecycle, reports, legacy parity, leaks.
 
 The acceptance bar for the redesign: Session-built runs are bit-identical
-to the pre-redesign code paths (`make_session` + `run_layers`, engine-built
-tuning) for run, tune (fixed seed) and compare, and teardown is
-deterministic — no lingering executor pools after a ``with`` block.
+to the hand-wired code paths (a bare ``StonneBifrostApi`` + ``run_layers``,
+engine-built tuning) for run, tune (fixed seed) and compare, and teardown
+is deterministic — no lingering executor pools after a ``with`` block.
 """
 
 import json
 import multiprocessing
-import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +23,16 @@ from repro.session import (
 )
 
 
-def _legacy_session(*args, **kwargs):
-    """make_session without the (expected) deprecation noise."""
-    from repro.bifrost.runner import make_session
+def _bare_api(mapping):
+    """A hand-wired endpoint with its own engine: the path the
+    pre-Session ``make_session`` helper built, without a Session."""
+    from repro.bifrost import MappingConfigurator, StonneBifrostApi
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return make_session(*args, **kwargs)
+    config = SessionConfig().build_simulator_config()[0]
+    return StonneBifrostApi(
+        config=config,
+        mappings=MappingConfigurator(config=config, strategy=mapping),
+    )
 
 
 class TestLifecycle:
@@ -119,10 +121,7 @@ class TestRun:
     def test_run_matches_legacy_make_session_path(self):
         # Bit-identical to the pre-redesign path on two models.
         for model in ("mlp", "lenet"):
-            legacy = _legacy_session(
-                SessionConfig().build_simulator_config()[0],
-                mapping_strategy="mrna",
-            )
+            legacy = _bare_api("mrna")
             from repro.bifrost.runner import run_layers
 
             legacy_stats = run_layers(zoo_layers(model), legacy)
@@ -167,10 +166,7 @@ class TestRun:
         from repro.models import lenet_graph
 
         feed = {"data": np.ones((1, 1, 28, 28))}
-        legacy = _legacy_session(
-            SessionConfig().build_simulator_config()[0],
-            mapping_strategy="mrna",
-        )
+        legacy = _bare_api("mrna")
         legacy_result = run_graph(lenet_graph(), feed, legacy)
         legacy.close()
         with Session(mapping="mrna") as s:
