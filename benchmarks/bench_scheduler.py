@@ -1,12 +1,14 @@
-"""Saturation scheduler benchmark: one pull queue on 1 vs 4 slots.
+"""Pull scheduler benchmark: one pull queue on 1 vs 4 slots.
 
 A scenario-matrix sweep is *skewed* in practice: hardware configs differ
 in simulation cost, a few layers dominate a model, and fleet workers run
 at unequal speeds.  The pull scheduler
 (:func:`repro.engine.scheduler.run_plan_groups`) drains all engine
-groups through one work queue: slots pull the next chunk as they
+groups through one shared queue: slots pull the next chunk as they
 finish, stragglers of every group run concurrently from pull #1, and
-fast slots steal the tails.
+while a slot is held by a straggler the other slots drain the rest.
+Chunk size is automatic: 12 items per group on 4 slots gives one item
+per chunk.
 
 This bench builds a multi-engine sweep (one engine per SIGMA size) whose
 groups each contain one *straggler* layer — its simulation blocks for a
@@ -30,7 +32,7 @@ real workload runs.  It times three arms over identical work:
 Results must be bit-identical across all arms, and both the pull and
 the thread arm must beat serial by >= 1.5x wall-clock.  Emits
 ``BENCH_scheduler.json`` with the wall times, the utilization estimates
-and the scheduler counters.
+and the scheduler's chunk count.
 
 The straggler latency is injected by wrapping
 ``repro.engine.backends.simulate_layer`` *before* the process pool
@@ -84,7 +86,6 @@ def _engines(backend):
             sigma_config(ms_size=size),
             executor=backend,
             max_workers=WORKERS,
-            chunk_size=1,
         )
         for size in GROUP_SIZES
     ]
@@ -201,9 +202,7 @@ def test_scheduler_saturation(benchmark, results_dir):
         f"{'thread':<10}{out['thread_s']:>10.3f}{util_thread:>12.0%}",
         f"pull vs serial: {speedup:.2f}x   "
         f"thread vs serial: {thread_speedup:.2f}x   "
-        f"counters: {out['report']['chunks_pulled']} pulls, "
-        f"{out['report']['steals']} steals, "
-        f"{out['report']['resplits']} re-splits",
+        f"counters: {out['report']['chunks_pulled']} pulls",
     ]
     emit(results_dir, "scheduler", "\n".join(lines))
 

@@ -5,9 +5,9 @@ time go?" without a profiler run:
 
 1. ``trace=True`` on the session records spans from every tier —
    ``session.sweep`` → ``sweep.execute`` → ``engine.plan_many`` /
-   ``cache.lookup`` → one lane per scheduler slot with each pulled
-   chunk (steals and re-splits as distinct span names) — and writes a
-   Chrome trace-event file at ``close()``.  Load it in
+   ``cache.lookup`` → one lane per scheduler slot with a
+   ``scheduler.chunk`` span per pulled chunk — and writes a Chrome
+   trace-event file at ``close()``.  Load it in
    ``chrome://tracing`` / Perfetto, or render the self-time table with
    ``repro trace summary``;
 2. ``metrics=True`` attaches a ``metrics`` section to the reports:

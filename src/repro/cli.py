@@ -74,9 +74,7 @@ def _print_fleet_report(engine) -> None:
     backend = engine.backend
     counters = backend_counters(backend)
     if counters.get("chunks_pulled"):
-        print(f"scheduler: {counters['chunks_pulled']} chunks pulled, "
-              f"{counters['steals']} steals, "
-              f"{counters['resplits']} re-splits")
+        print(f"scheduler: {counters['chunks_pulled']} chunks pulled")
     if not hasattr(backend, "fallback_batches"):
         return
     print(f"fleet: {backend.fallback_batches} fallback batches, "
@@ -680,27 +678,22 @@ sweep service:
   a running job's partial report is archived resumable, caches close,
   exit 0.
 
-saturation scheduling:
-  Multi-scenario batches drain through one pull-based work queue: each
-  executor slot (thread, process, or fleet capacity unit) pulls the
-  next chunk as it finishes, so fast slots steal slow slots' tails and
-  engine groups overlap instead of running back to back.  A worker
-  started with --fleet-capacity N advertises N pull slots.  Serial
-  runs are the one-slot case, drained on the calling thread.  Tune the
-  queue with --chunk-size
-  (items per pull, default auto) and --steal-deadline SECONDS (an
-  in-flight chunk older than this is re-split across idle slots;
-  distinct from --fleet-shard-timeout, which abandons a wedged
-  connection entirely — deadline seconds, timeout minutes).  Results
-  stay bit-identical to --executor serial; per-run steal/re-split
-  counters land in the report JSON under counters.scheduler.
+pull scheduling:
+  Multi-scenario batches drain through one shared queue of chunks:
+  each executor slot (thread, process, or fleet capacity unit) pulls
+  the next chunk as it finishes, so a slow slot simply pulls fewer and
+  engine groups overlap instead of running back to back.  Chunk size
+  follows from the batch and slot count.  A worker started with
+  --fleet-capacity N advertises N pull slots.  Serial runs are the
+  one-slot case, drained on the calling thread.  Results stay
+  bit-identical to --executor serial; the per-run chunk count lands in
+  the report JSON under counters.scheduler.
 
 tracing and metrics:
   Any run/tune/compare/sweep records spans with --trace: session ->
-  sweep -> engine -> per-slot scheduler chunks (steals and re-splits
-  as distinct span names) -> cache tier events, plus
-  one lane per fleet worker with the worker's own batch timing shipped
-  back in the wire protocol.  The file loads directly in
+  sweep -> engine -> per-slot scheduler chunks -> cache tier events,
+  plus one lane per fleet worker with the worker's own batch timing
+  shipped back in the wire protocol.  The file loads directly in
   chrome://tracing / Perfetto:
       repro sweep --models mlp,lenet --executor process \\
           --trace --trace-path sweep_trace.json --metrics

@@ -54,12 +54,11 @@ Components
 
 :mod:`~repro.engine.scheduler`
     The one execution path: :func:`~repro.engine.scheduler.run_plan_groups`
-    drains many engines' planned batches through a pull-based work
-    queue (one puller per backend slot, the calling thread being the
-    first) so engine groups overlap, fast slots steal slow slots'
-    tails, and stragglers re-split past a deadline — all bit-identical
-    to serial execution, with exact steal/re-split/idle counters.
-    Serial is the one-slot case.
+    drains many engines' planned batches through one shared queue of
+    chunks (one puller per backend slot, the calling thread being the
+    first), so engine groups overlap and a slot that finishes early
+    keeps pulling — bit-identical to serial execution.  Serial is the
+    one-slot case.
 
 Who routes through it
 ---------------------
@@ -105,12 +104,7 @@ from repro.engine.evaluation import (
     evaluation_key,
     fingerprint_config,
 )
-from repro.engine.scheduler import (
-    WorkQueue,
-    backend_counters,
-    backend_metrics,
-    run_plan_groups,
-)
+from repro.engine.scheduler import backend_counters, run_plan_groups
 from repro.engine.sqlite_cache import SqliteStatsCache
 
 __all__ = [
@@ -124,9 +118,7 @@ __all__ = [
     "SqliteStatsCache",
     "StatsCache",
     "ThreadBackend",
-    "WorkQueue",
     "backend_counters",
-    "backend_metrics",
     "evaluation_key",
     "fingerprint_config",
     "make_backend",

@@ -33,7 +33,9 @@ cannot poison a generation of tuner proposals.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
     ClassVar,
@@ -342,7 +344,10 @@ class ProcessBackend(ExecutorBackend):
     The pool is created lazily by the first :meth:`pull_slots` asking
     for two or more slots, reused across runs (spawn cost is paid once
     per backend), recreated when the requested width changes, and
-    released by :meth:`close`.  A width of one runs inline.
+    released by :meth:`close`.  A width of one runs inline.  When a pool
+    process dies, the broken pool is discarded, the chunks that hit it
+    run inline on their pullers, and the next :meth:`pull_slots` builds
+    a fresh pool — so a long-lived engine outlives a killed worker.
     """
 
     name = "process"
@@ -351,6 +356,7 @@ class ProcessBackend(ExecutorBackend):
         self.max_workers = max_workers
         self._pool = None
         self._pool_width = 0
+        self._pool_lock = threading.Lock()
 
     def _ensure_pool(self, workers: int):
         if self._pool is None or self._pool_width != workers:
@@ -367,7 +373,8 @@ class ProcessBackend(ExecutorBackend):
         return list(range(workers))
 
     def run_chunk(self, engine, items, slot=None):
-        if self._pool is None:
+        pool = self._pool
+        if pool is None:
             return super().run_chunk(engine, items, slot)
         spec = (
             engine.fingerprint,
@@ -380,12 +387,24 @@ class ProcessBackend(ExecutorBackend):
             (position, key, request.layer, request.mapping)
             for position, (key, request) in enumerate(items)
         ]
+        try:
+            returned = pool.submit(_process_chunk, spec, chunk).result()
+        except BrokenProcessPool:
+            self._discard(pool)
+            return super().run_chunk(engine, items, slot)
         results: List[WorkResult] = [None] * len(items)  # type: ignore
-        for position, key, payload in self._pool.submit(
-            _process_chunk, spec, chunk
-        ).result():
+        for position, key, payload in returned:
             results[position] = (key, payload)
         return results
+
+    def _discard(self, pool) -> None:
+        """Drop a broken pool once, however many pullers hit it."""
+        with self._pool_lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+            self._pool_width = 0
+        pool.shutdown(wait=True)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -248,12 +248,10 @@ class EvaluationEngine:
             :class:`~repro.engine.backends.ExecutorBackend` instance.
             ``None`` picks threads when ``max_workers`` is above 1 and
             serial otherwise (:func:`~repro.engine.backends.make_backend`).
-        max_workers: Pool width of the backend (scheduler slots).
-        chunk_size: Items per scheduler chunk on backends with two or
-            more slots (:mod:`repro.engine.scheduler`); ``None`` sizes
-            chunks automatically from the batch and slot count.
-        steal_deadline: Seconds before an idle scheduler slot re-splits
-            a straggler's unfinished chunk.
+        max_workers: Pool width of the backend: the number of slots
+            that pull chunks from the scheduler's queue
+            (:mod:`repro.engine.scheduler`).  Chunk size follows from
+            the batch and slot count.
     """
 
     def __init__(
@@ -265,8 +263,6 @@ class EvaluationEngine:
         functional: bool = False,
         executor: Union[str, ExecutorBackend, None] = None,
         max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        steal_deadline: Optional[float] = None,
     ) -> None:
         self.config = config
         self.params = params
@@ -274,8 +270,6 @@ class EvaluationEngine:
         self.cache_enabled = cache_enabled
         self.functional = functional
         self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.steal_deadline = steal_deadline
         self.backend: ExecutorBackend = make_backend(executor, max_workers)
         self.controller: AcceleratorController = make_controller(config, params)
         self.num_evaluations = 0
@@ -462,7 +456,7 @@ class EvaluationEngine:
         Single-threaded by design (cache writes and plan mutation never
         race); counts each distinct successful item as one simulation
         regardless of how the backend executed it, so counters stay
-        deterministic even when the scheduler re-splits a straggler.
+        deterministic whichever slot ran each chunk.
         """
         simulated = 0
         for slot, result in enumerate(run):

@@ -56,10 +56,10 @@ CONNECT_TIMEOUT_S = 5.0
 
 #: Default seconds to wait for a chunk's results (the
 #: ``fleet.shard_timeout`` config knob overrides it).  Generous: this
-#: bound only catches hung peers, not slow ones — the *scheduler's*
-#: ``engine.steal_deadline`` (seconds, much shorter) is what re-splits a
-#: slow worker's chunk onto idle peers, so this timeout only has to
-#: catch connections that are truly wedged.
+#: bound only catches hung peers, not slow ones — a slow worker just
+#: pulls fewer chunks from the scheduler's queue while its peers pull
+#: the rest, so this timeout only has to catch connections that are
+#: truly wedged.
 BATCH_TIMEOUT_S = 600.0
 
 
@@ -216,10 +216,9 @@ class RemoteBackend(ExecutorBackend):
             reachable worker.
         shard_timeout: Seconds to wait for one chunk's results before
             declaring the connection dead (the ``fleet.shard_timeout``
-            knob); defaults to :data:`BATCH_TIMEOUT_S`.  Orthogonal to
-            the scheduler's ``engine.steal_deadline``: the deadline
-            re-splits a *slow* worker's chunk onto idle peers (seconds),
-            the timeout abandons a *wedged* connection (minutes).
+            knob); defaults to :data:`BATCH_TIMEOUT_S`.  It abandons a
+            *wedged* connection; a merely slow worker needs no timeout,
+            because it pulls fewer chunks than its peers.
     """
 
     name = "remote"

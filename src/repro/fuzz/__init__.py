@@ -1,7 +1,7 @@
 """repro.fuzz — property fuzzing: the sweep tier as a correctness oracle.
 
 PRs 6–9 accumulated "bit-identical to ``--executor serial``" guarantees
-(batch kernels, the work-stealing scheduler, the process pool, the
+(batch kernels, the pull scheduler, the process pool, the
 fleet) that were only ever exercised on the same four classic models.
 This module generates adversarial workloads and *checks the guarantee*:
 

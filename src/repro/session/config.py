@@ -192,20 +192,6 @@ class EngineConfig:
                        help="also execute the exact im2col datapath per "
                             "simulation (real STONNE's cost profile)"),
     )
-    chunk_size: Optional[int] = field(
-        default=None,
-        metadata=_meta(key="chunk_size", kind="optint",
-                       help="items per work-stealing scheduler chunk on "
-                            "pull-capable backends (unset: sized "
-                            "automatically from the batch and slot "
-                            "count)"),
-    )
-    steal_deadline: float = field(
-        default=5.0,
-        metadata=_meta(key="steal_deadline", kind="float",
-                       help="seconds before an idle scheduler slot "
-                            "re-splits a straggler's unfinished chunk"),
-    )
 
     def __post_init__(self) -> None:
         if self.executor is not None and self.executor not in _registered_backends():
@@ -216,14 +202,6 @@ class EngineConfig:
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigError(
                 f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError(
-                f"chunk_size must be >= 1, got {self.chunk_size}"
-            )
-        if self.steal_deadline <= 0:
-            raise ConfigError(
-                f"steal_deadline must be > 0, got {self.steal_deadline}"
             )
 
 
@@ -295,9 +273,8 @@ class FleetConfig:
         metadata=_meta(key="fleet_shard_timeout", kind="float",
                        help="seconds the remote backend waits for one "
                             "shard's results before declaring the "
-                            "connection dead (slow-but-alive workers "
-                            "are handled by the much shorter "
-                            "steal_deadline instead)"),
+                            "connection dead (the shard is then retried "
+                            "on another worker, or run inline)"),
     )
 
     secret: Optional[str] = field(

@@ -176,8 +176,6 @@ class Session:
                 executor=executor,
                 max_workers=config.engine.max_workers,
                 functional=config.engine.functional,
-                chunk_size=config.engine.chunk_size,
-                steal_deadline=config.engine.steal_deadline,
             )
             self.mappings = MappingConfigurator(
                 config=self.simulator_config,

@@ -107,8 +107,6 @@ class SweepRunner:
             executor=session.engine.backend,
             max_workers=session.config.engine.max_workers,
             functional=config.engine.functional,
-            chunk_size=session.config.engine.chunk_size,
-            steal_deadline=session.config.engine.steal_deadline,
         )
         key = (engine.fingerprint, engine.functional)
         if key in self._engines:
@@ -264,11 +262,10 @@ class SweepRunner:
                 batches[engine_id][1].append(batch_plan)
             entries.append((scenario, engine, sim_config, batch_plan))
 
-        # Phase 2: every engine group through one work-stealing queue —
-        # cross-scenario duplicates simulate once, engine groups overlap
-        # instead of running back to back, and fast executor slots steal
-        # the tail of slow ones' load.  (A one-slot backend drains each
-        # group as one chunk on the calling thread.)
+        # Phase 2: every engine group through one shared pull queue —
+        # cross-scenario duplicates simulate once, and engine groups
+        # overlap instead of running back to back.  (A one-slot backend
+        # drains each group as one chunk on the calling thread.)
         from repro.engine.scheduler import run_plan_groups
 
         self._emit(

@@ -2,6 +2,10 @@
 measurement, and GA determinism after vectorization."""
 
 import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -130,6 +134,37 @@ class TestBackendParity:
             serial = EvaluationEngine(sigma_config())
             layers = [GemmLayer(f"g{i}", M=4 + i, K=16, N=4) for i in range(4)]
             assert engine.evaluate_many(layers) == serial.evaluate_many(layers)
+        finally:
+            engine.close()
+
+    def test_process_backend_survives_a_killed_pool_process(self):
+        engine = EvaluationEngine(
+            sigma_config(), executor="process", max_workers=2
+        )
+        serial = EvaluationEngine(sigma_config())
+        try:
+            first = [FcLayer(f"a{i}", 8 + i, 8) for i in range(4)]
+            assert engine.evaluate_many(first) == serial.evaluate_many(first)
+            pool = engine.backend._pool
+            os.kill(pool.submit(os.getpid).result(timeout=30), signal.SIGKILL)
+            # Wait until the pool itself reports the death, so the next
+            # call is sure to meet a broken pool.
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    pool.submit(os.getpid).result(timeout=30)
+                except BrokenProcessPool:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail("the pool never noticed its killed process")
+            # Each call simulates fresh layers, so neither is a cache hit.
+            for batch in ("b", "c"):
+                layers = [FcLayer(f"{batch}{i}", 16 + i, 8) for i in range(4)]
+                assert engine.evaluate_many(layers) == (
+                    serial.evaluate_many(layers)
+                )
+            assert engine.backend._pool is not pool
         finally:
             engine.close()
 

@@ -1,20 +1,21 @@
-"""Saturation scheduler tests.
+"""Pull scheduler tests.
 
 Two layers of guarantees:
 
-* :class:`~repro.engine.scheduler.WorkQueue` unit tests pin the steal /
-  re-split counters *exactly* under an injectable fake clock — no
-  timing assumptions;
+* queue-level tests pin that every chunk runs exactly once, whichever
+  puller takes it, and that chunks interleave across engine groups;
 * :func:`~repro.engine.scheduler.run_plan_groups` integration tests
   prove the pull path bit-identical to the cycle models on the serial,
-  thread and process backends, including under injected slow workers,
-  straggler re-splits and groups spread over several backends.
+  thread and process backends, including under an injected slow worker
+  and groups spread over several backends.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.engine import EvalRequest, EvaluationEngine, evaluation_key
 from repro.engine.backends import SerialBackend, ThreadBackend
 from repro.engine.scheduler import (
     Chunk,
-    WorkQueue,
     _auto_chunk_size,
     _interleave,
     backend_counters,
@@ -36,23 +36,8 @@ from repro.stonne.controller import make_controller
 from repro.stonne.layer import FcLayer
 
 
-class FakeClock:
-    """A manually-advanced monotonic clock for exact counter tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def _chunk(slots, items, home=None, group=0):
-    return Chunk(
-        engine=None, group=group, slots=slots, items=items, home=home,
-    )
+def _chunk(start, items, group=0):
+    return Chunk(engine=None, group=group, start=start, items=items)
 
 
 def _layers(count, width=8):
@@ -64,101 +49,41 @@ def _layers(count, width=8):
 
 
 class TestWorkQueue:
-    def test_steal_counting_is_exact(self):
-        queue = WorkQueue(1, [3], clock=FakeClock())
-        chunks = [
-            _chunk([i], [(f"k{i}", None)], home=i % 2) for i in range(3)
+    def test_every_chunk_runs_exactly_once(self):
+        # More pullers than cores and a short switch interval: a chunk
+        # popped twice (or lost) would show up in the per-item counts.
+        layers = _layers(60)
+        config = sigma_config()
+        expected = [
+            s.to_dict()
+            for s in EvaluationEngine(config).evaluate_many(layers)
         ]
-        for chunk in chunks:
-            queue.add(chunk)
-        # Slot 1 pulls chunk 0 (home 0): a steal.  Slot 0 pulls chunk 1
-        # (home 1): a steal.  Slot 0 pulls chunk 2 (home 0): not one.
-        assert queue.pull(1) is chunks[0]
-        assert queue.counters["steals"] == 1
-        assert queue.pull(0) is chunks[1]
-        assert queue.counters["steals"] == 2
-        assert queue.pull(0) is chunks[2]
-        assert queue.counters["steals"] == 2
-        assert queue.counters["chunks_pulled"] == 3
-        for i, chunk in enumerate(chunks):
-            queue.complete(chunk, [(f"k{i}", f"r{i}")])
-        assert queue.pull(0) is None
-        assert queue.pull(1) is None
-        assert queue.results[0] == [("k0", "r0"), ("k1", "r1"), ("k2", "r2")]
-        assert queue.counters["resplits"] == 0
-        assert queue.counters["idle_time_s"] == 0
+        runs = Counter()
+        lock = threading.Lock()
 
-    def test_straggler_resplit_first_writer_wins(self):
-        clock = FakeClock()
-        queue = WorkQueue(1, [4], clock=clock, steal_deadline=5.0)
-        big = _chunk([0, 1, 2], [("a", 1), ("b", 2), ("c", 3)], home=0)
-        small = _chunk([3], [("d", 4)], home=1)
-        queue.add(big)
-        queue.add(small)
-        assert queue.pull(0) is big
-        assert queue.pull(1) is small
-        queue.complete(small, [("d", "rd")])
-        # Under the deadline nothing is re-split; past it, the idle slot
-        # clones the straggler's unfilled items.
-        assert queue._make_resplit(1) is None
-        clock.advance(6.0)
-        duplicate = queue.pull(1)
-        assert duplicate.resplit_of is big
-        assert duplicate.slots == [0, 1, 2]
-        assert [key for key, _ in duplicate.items] == ["a", "b", "c"]
-        assert queue.counters["resplits"] == 1
-        # Each original re-splits at most once, and duplicates never do.
-        assert big.resplit_issued
-        assert queue._make_resplit(2) is None
-        # The duplicate finishes first; the straggler's late (identical
-        # in production, marked here) results must not overwrite.
-        queue.complete(duplicate, [("a", "ra"), ("b", "rb"), ("c", "rc")])
-        queue.complete(big, [("a", "XX"), ("b", "XX"), ("c", "XX")])
-        assert queue.results[0] == [
-            ("a", "ra"), ("b", "rb"), ("c", "rc"), ("d", "rd"),
-        ]
-        assert queue.pull(0) is None
+        class CountingBackend(ThreadBackend):
+            def run_chunk(self, engine, items, slot=None):
+                with lock:
+                    runs.update(request.layer.name for _key, request in items)
+                return super().run_chunk(engine, items, slot)
 
-    def test_resplit_skips_already_filled_items(self):
-        clock = FakeClock()
-        queue = WorkQueue(1, [3], clock=clock, steal_deadline=5.0)
-        big = _chunk([0, 1, 2], [("a", 1), ("b", 2), ("c", 3)], home=0)
-        queue.add(big)
-        assert queue.pull(0) is big
-        # Simulate position 1 having been served already (by a racing
-        # duplicate in production): the re-split must exclude it.
-        queue._filled[0][1] = True
-        queue._pending_slots -= 1
-        clock.advance(6.0)
-        duplicate = queue.pull(1)
-        assert duplicate.slots == [0, 2]
-        assert [key for key, _ in duplicate.items] == ["a", "c"]
-
-    def test_idle_time_is_exact_under_fake_clock(self):
-        clock = FakeClock()
-        queue = WorkQueue(1, [1], clock=clock)
-        pulled = []
-        puller = threading.Thread(target=lambda: pulled.append(queue.pull(0)))
-        puller.start()
-        # Wait until the puller is actually parked in the queue's wait
-        # loop (its idle timestamp is taken at clock 0.0), then advance.
-        for _ in range(1000):
-            if queue._cond._waiters:
-                break
-            time.sleep(0.005)
-        clock.advance(1.5)
-        chunk = _chunk([0], [("k", None)], home=0)
-        queue.add(chunk)
-        puller.join(timeout=10)
-        assert pulled == [chunk]
-        assert queue.counters["idle_time_s"] == 1.5
+        engine = EvaluationEngine(
+            config, executor=CountingBackend(max_workers=8), max_workers=8
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            plan = engine.plan_many([EvalRequest(l) for l in layers])
+            report = run_plan_groups([(engine, [plan])])
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert runs == Counter(layer.name for layer in layers)
+        assert [s.to_dict() for s in plan.results] == expected
+        assert report["chunks_pulled"] == 30  # 2 items per chunk on 8 slots
 
     def test_zero_counters_shape(self):
-        counters = zero_counters()
-        assert counters["idle_time_s"] == 0.0
-        assert set(counters) == {
-            "chunks_pulled", "steals", "resplits", "idle_time_s",
-        }
+        assert zero_counters() == {"chunks_pulled": 0}
 
 
 class TestChunking:
@@ -169,8 +94,8 @@ class TestChunking:
         assert _auto_chunk_size(1, 8) == 1
 
     def test_interleave_round_robins_groups(self):
-        a = [_chunk([i], [(f"a{i}", None)]) for i in range(3)]
-        b = [_chunk([0], [("b0", None)], group=1)]
+        a = [_chunk(i, [(f"a{i}", None)]) for i in range(3)]
+        b = [_chunk(0, [("b0", None)], group=1)]
         assert _interleave([a, b]) == [a[0], b[0], a[1], a[2]]
 
 
@@ -188,10 +113,8 @@ class TestRunPlanGroups:
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
         assert [s.to_dict() for s in plan.results] == expected
-        # 10 distinct items, auto chunk size 1 -> 10 normal pulls (plus
-        # any re-splits, which the 5 s default deadline rules out here).
+        # 10 distinct items, auto chunk size 1 -> 10 pulls.
         assert report["chunks_pulled"] == 10
-        assert report["resplits"] == 0
         assert engine.num_simulations == 10
         # The backend accumulated this run's counters.
         assert backend_counters(engine.backend)["chunks_pulled"] == 10
@@ -278,7 +201,6 @@ class TestRunPlanGroups:
             engine.close()
         assert calls == [(threading.current_thread(), 4, [])]
         assert report["chunks_pulled"] == 1
-        assert report["steals"] == report["resplits"] == 0
         assert [s.to_dict() for s in plan.results] == expected
         assert engine.num_simulations == 4
 
@@ -311,8 +233,10 @@ class TestRunPlanGroups:
 
     def test_slow_worker_gets_its_tail_stolen(self, monkeypatch):
         real = backends_mod.simulate_layer
+        ran_on = {}
 
         def slow_fc0(controller, layer, mapping, functional):
+            ran_on[layer.name] = threading.current_thread()
             if layer.name == "fc0":
                 time.sleep(0.3)
             return real(controller, layer, mapping, functional)
@@ -321,37 +245,14 @@ class TestRunPlanGroups:
         config = sigma_config()
         expected = self._serial_reference(config, layers)
         monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        engine = EvaluationEngine(
-            config, executor="thread", max_workers=2, chunk_size=1
-        )
+        engine = EvaluationEngine(config, executor="thread", max_workers=2)
         plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups([(engine, [plan])])
-        # While one slot holds fc0 for 0.3 s the other drains the rest,
-        # including chunks whose static home was the busy slot.
-        assert report["steals"] >= 1
-        assert [s.to_dict() for s in plan.results] == expected
-
-    def test_straggler_resplit_end_to_end(self, monkeypatch):
-        real = backends_mod.simulate_layer
-
-        def slow_fc0(controller, layer, mapping, functional):
-            if layer.name == "fc0":
-                time.sleep(0.5)
-            return real(controller, layer, mapping, functional)
-
-        layers = _layers(8)
-        config = sigma_config()
-        expected = self._serial_reference(config, layers)
-        monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        engine = EvaluationEngine(
-            config, executor="thread", max_workers=2,
-            chunk_size=2, steal_deadline=0.05,
-        )
-        plan = engine.plan_many([EvalRequest(l) for l in layers])
-        report = run_plan_groups([(engine, [plan])])
-        # The idle slot re-splits the straggler chunk [fc0, fc1] and
-        # races it; duplicated items must not double-count simulations.
-        assert report["resplits"] >= 1
+        run_plan_groups([(engine, [plan])])
+        # While one slot holds fc0 for 0.3 s the other drains the rest
+        # of the queue.
+        slow = ran_on["fc0"]
+        others = [name for name, ran in ran_on.items() if ran is not slow]
+        assert len(others) >= 6
         assert [s.to_dict() for s in plan.results] == expected
         assert engine.num_simulations == 8
 
