@@ -7,8 +7,10 @@ small-but-real workload and asserts the PR's contract:
 * ``run_conv_batch`` on MAERI returns *bit-identical* payloads to the
   scalar ``run_conv`` loop — including captured exceptions for invalid
   mappings injected mid-batch (per-item error isolation);
-* the closed-form psum proxy and the mRNA mapper's batch scorer agree
-  exactly with their scalar counterparts;
+* the closed-form psum proxy agrees exactly with its scalar loop, and
+  the mRNA mapper's batch scorers (conv, grouped conv, FC; at two array
+  sizes, with the candidate-grid memo cold and then warm) agree exactly
+  with the scalar scans;
 * the SIGMA / TPU / MAGMA GEMM batch kernels agree exactly with their
   ``run_gemm`` loops;
 * the batch sweep beats the scalar loop by >= 3x wall-clock even at
@@ -59,7 +61,7 @@ def main() -> int:
         magma_config, maeri_config, sigma_config, tpu_config,
     )
     from repro.stonne.controller import AcceleratorController, make_controller
-    from repro.stonne.layer import ConvLayer, GemmLayer
+    from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer
     from repro.stonne.mapping import ConvMapping, enumerate_conv_mappings
 
     layer = ConvLayer("smoke_conv", C=64, H=16, W=16, K=64, R=3, S=3)
@@ -97,17 +99,37 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    mapper = MrnaMapper(maeri_config(ms_size=MS_SIZE))
-    mrna_layer = ConvLayer("smoke_mrna", C=32, H=28, W=28, K=32, R=3, S=3)
-    mrna_scalar = mapper._score_conv_scalar(mrna_layer)
-    mrna_batch = mapper._score_conv_batch(mrna_layer)
-    if (
-        mrna_scalar.mapping != mrna_batch.mapping
-        or mrna_scalar.estimated_cycles != mrna_batch.estimated_cycles
-    ):
-        print("FAIL: mRNA batch scorer diverged from the scalar scan",
-              file=sys.stderr)
-        return 1
+    # mRNA: a dense conv, a grouped conv and an FC layer, each scored at
+    # two array sizes and then again with the candidate-grid memo warm.
+    # The grid depends on ms_size: prime dimensions make the winners at
+    # ms_size 64 capacity-capped tiles (T_K = 64 on the FC layer) that
+    # the 512-wide grid does not hold, so a memo that ignored ms_size
+    # would diverge here.
+    mrna_layers = [
+        ConvLayer("smoke_mrna", C=32, H=28, W=28, K=32, R=3, S=3),
+        ConvLayer("smoke_grouped", C=28, H=13, W=13, K=52, R=3, S=3,
+                  pad_h=1, pad_w=1, G=4),
+        FcLayer("smoke_fc", in_features=1009, out_features=7),
+    ]
+    for rerun, ms_size in itertools.product(("cold", "warm"), (512, 64)):
+        mapper = MrnaMapper(maeri_config(ms_size=ms_size))
+        for mrna_layer in mrna_layers:
+            if isinstance(mrna_layer, ConvLayer):
+                mrna_scalar = mapper._score_conv_scalar(mrna_layer)
+                mrna_batch = mapper._score_conv_batch(mrna_layer)
+            else:
+                mrna_scalar = mapper._score_fc_scalar(mrna_layer)
+                mrna_batch = mapper._score_fc_batch(mrna_layer)
+            if (
+                mrna_scalar.mapping != mrna_batch.mapping
+                or mrna_scalar.estimated_cycles != mrna_batch.estimated_cycles
+            ):
+                print(
+                    f"FAIL: mRNA batch scorer diverged from the scalar scan "
+                    f"({mrna_layer.name}, ms_size {ms_size}, {rerun} grid)",
+                    file=sys.stderr,
+                )
+                return 1
 
     gemms = [
         GemmLayer(f"g{m}.{k}.{n}", M=m, K=k, N=n)
@@ -143,8 +165,8 @@ def main() -> int:
         return 1
     print(
         f"OK: batch kernels bit-identical across MAERI sweep "
-        f"({SWEEP} mappings, 2 invalid isolated), psum proxy, mRNA scorer "
-        f"and 3 GEMM controllers; {speedup:.1f}x over the scalar loop"
+        f"({SWEEP} mappings, 2 invalid isolated), psum proxy, mRNA scorers "
+        f"(cold and memoized grids) and 3 GEMM controllers; {speedup:.1f}x over the scalar loop"
     )
     return 0
 

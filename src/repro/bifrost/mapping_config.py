@@ -18,6 +18,7 @@ from typing import Dict, Optional, Union
 from repro.engine import EvaluationEngine
 from repro.errors import MappingError, TuningError
 from repro.mrna.mapper import MrnaMapper
+from repro.obs.trace import TRACER
 from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
@@ -123,10 +124,12 @@ class MappingConfigurator:
                 else FcMapping.basic()
             )
         if self.strategy is MappingStrategy.MRNA:
-            mapper = MrnaMapper(self.config)
-            if isinstance(layer, ConvLayer):
-                return mapper.map_conv(layer)
-            return mapper.map_fc(layer)
+            with TRACER.span("mapping.mrna", category="mapping",
+                             layer=layer.name):
+                mapper = MrnaMapper(self.config)
+                if isinstance(layer, ConvLayer):
+                    return mapper.map_conv(layer)
+                return mapper.map_fc(layer)
         return self._tune(layer)
 
     def _tune(self, layer: Layer) -> Mapping:

@@ -24,7 +24,7 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.obs.trace import TRACER
 from repro.stonne.stats import SimulationStats
@@ -82,6 +82,15 @@ class StatsCache:
                     TRACER.instant(
                         "cache.evict", category="cache",
                         tier="memory", count=evicted)
+
+    def put_many(
+        self, items: Iterable[Tuple[Hashable, SimulationStats]]
+    ) -> None:
+        """Store every ``(key, stats)`` pair, as that sequence of
+        :meth:`put` calls would.  Tiers with a per-write cost (the SQLite
+        commit) override it to pay that cost once per call."""
+        for key, stats in items:
+            self.put(key, stats)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

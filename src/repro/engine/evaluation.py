@@ -456,9 +456,11 @@ class EvaluationEngine:
         Single-threaded by design (cache writes and plan mutation never
         race); counts each distinct successful item as one simulation
         regardless of how the backend executed it, so counters stay
-        deterministic whichever slot ran each chunk.
+        deterministic whichever slot ran each chunk.  The cache writes
+        go out as one ``put_many`` (one SQLite transaction per merge).
         """
         simulated = 0
+        puts: List[Tuple[Hashable, SimulationStats]] = []
         for slot, result in enumerate(run):
             key, payload = result if result is not None else (work[slot][0], None)
             if payload is None:
@@ -471,7 +473,7 @@ class EvaluationEngine:
             else:
                 simulated += 1
                 if self.cache_enabled and key is not None:
-                    self.cache.put(key, payload)
+                    puts.append((key, payload))
                 for index, (plan, position) in enumerate(owners[slot]):
                     stats = payload
                     if index > 0:
@@ -482,6 +484,12 @@ class EvaluationEngine:
                             plan.requests[position].layer.name
                         )
                     plan._record(position, key, stats)
+        put_many = getattr(self.cache, "put_many", None)
+        if put_many is not None:
+            put_many(puts)
+        else:  # a duck-typed cache offering only get/put
+            for key, stats in puts:
+                self.cache.put(key, stats)
         with self._counter_lock:
             self.num_simulations += simulated
 

@@ -16,6 +16,12 @@ JSON text; values round-trip through
 deterministic functions of their key, so ``INSERT OR REPLACE`` races
 between writers are harmless — both sides write identical bytes.
 
+Writes are batched: the engine stores each merged chunk of simulation
+results with one :meth:`SqliteStatsCache.put_many`, which is one
+transaction and one commit.  A sweep interrupted mid-chunk therefore
+loses at most that chunk's writes; ``repro sweep --resume`` (or any
+rerun) simulates them again.
+
 Select it by extension: :func:`repro.engine.cache.make_stats_cache`
 returns this class for ``.sqlite``/``.sqlite3``/``.db`` paths and the
 JSONL tier otherwise, which is what the CLI's ``--cache-path`` does.
@@ -28,7 +34,7 @@ import os
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Hashable, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.engine.cache import DEFAULT_MAX_ENTRIES, StatsCache, _freeze
 from repro.errors import ConfigError
@@ -73,8 +79,11 @@ class SqliteStatsCache(StatsCache):
     The in-memory LRU is a per-process L1; the database is the shared
     tier.  ``get`` consults L1 first and falls through to the database on
     a miss, so inserts from *other* processes become visible mid-sweep
-    without any refresh protocol.  ``put`` writes both tiers and commits
-    immediately — one simulation result is one durable transaction.
+    without any refresh protocol.  ``put_many`` writes a batch (the
+    engine's merged chunk) to both tiers as one transaction, committed
+    before it returns; ``put`` is a batch of one.  Other processes see a
+    chunk's rows together once it commits, and an interrupted sweep
+    loses at most the chunk in flight, which ``--resume`` re-simulates.
 
     The shared tier grows without bound by default; ``max_rows`` caps it
     with LRU eviction: with a cap set, every get and put stamps the
@@ -207,21 +216,46 @@ class SqliteStatsCache(StatsCache):
             return stats.clone()
 
     def put(self, key: Hashable, stats: SimulationStats) -> None:
-        """Write both tiers; the database commit makes the record visible
-        to every other process sharing the file immediately."""
-        with self._lock:
-            self._records[key] = stats.clone()
-            self._records.move_to_end(key)
-            while len(self._records) > self.max_entries:
-                self._records.popitem(last=False)
-            self._conn.execute(
-                "INSERT OR REPLACE INTO stats (key, stats, accessed_at) "
-                "VALUES (?, ?, (SELECT COALESCE(MAX(accessed_at), 0) + 1 "
-                "FROM stats))",
-                (encode_key(key), json.dumps(stats.to_dict(), default=str)),
-            )
-            self._evict_overflow()
-            self._conn.commit()
+        """Write both tiers in one transaction; its commit makes the
+        record visible to every other process sharing the file."""
+        self.put_many(((key, stats),))
+
+    def put_many(
+        self, items: Iterable[Tuple[Hashable, SimulationStats]]
+    ) -> None:
+        """Write every pair to both tiers in one database transaction.
+
+        Same rows, stamps and evictions as that sequence of :meth:`put`
+        calls: each row's ``accessed_at`` is ``MAX + 1`` at its own
+        insert, so stamps stay distinct and in call order, and the one
+        eviction pass at the end drops the rows the per-put passes
+        would have (fresh rows always carry the newest stamps).  One
+        commit instead of one per row is what makes a merged chunk
+        cheap to store.
+        """
+        items = list(items)
+        if not items:
+            return
+        with TRACER.span("cache.put_many", category="cache",
+                         rows=len(items), tier="sqlite"):
+            with self._lock:
+                for key, stats in items:
+                    self._records[key] = stats.clone()
+                    self._records.move_to_end(key)
+                while len(self._records) > self.max_entries:
+                    self._records.popitem(last=False)
+                self._conn.executemany(
+                    "INSERT OR REPLACE INTO stats (key, stats, accessed_at) "
+                    "VALUES (?, ?, (SELECT COALESCE(MAX(accessed_at), 0) + 1 "
+                    "FROM stats))",
+                    [
+                        (encode_key(key),
+                         json.dumps(stats.to_dict(), default=str))
+                        for key, stats in items
+                    ],
+                )
+                self._evict_overflow()
+                self._conn.commit()
 
     def _evict_overflow(self) -> None:
         """Delete least-recently-accessed rows past ``max_rows``.

@@ -248,6 +248,7 @@ class FleetWorker(socketserver.ThreadingTCPServer):
             # kernel call (same path as the engine backends).
             with self._controller_lock:
                 payloads = simulate_chunk(controller, pairs, functional)
+            served = []
             for (slot, pos, key, _, _), payload in zip(pending, payloads):
                 if isinstance(payload, Exception):
                     entries[slot] = {
@@ -256,9 +257,11 @@ class FleetWorker(socketserver.ThreadingTCPServer):
                         "error_type": type(payload).__name__,
                     }
                 else:
-                    if self.cache is not None and key is not None:
-                        self.cache.put(key, payload)
+                    if key is not None:
+                        served.append((key, payload))
                     entries[slot] = {"pos": pos, "stats": payload.to_dict()}
+            if self.cache is not None:
+                self.cache.put_many(served)
         self.batches_served += 1
         self.items_served += len(entries)
         timing = {

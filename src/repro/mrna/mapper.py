@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError, TuningError
@@ -36,9 +37,15 @@ def _divisor_options(bound: int, cap: int) -> List[int]:
     return sorted(options)
 
 
-def _divisors(bound: int) -> List[int]:
+#: Entries each grid memo keeps.  A sweep revisits few distinct layer
+#: shapes per ``ms_size``; the bound caps memory on open-ended ones.
+_MEMO_ENTRIES = 512
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _divisors(bound: int) -> Tuple[int, ...]:
     """All divisors of ``bound``, ascending."""
-    return [d for d in range(1, bound + 1) if bound % d == 0]
+    return tuple(d for d in range(1, bound + 1) if bound % d == 0)
 
 
 def _tile_grid(levels: Sequence[int], ms: int) -> List[Tuple[int, ...]]:
@@ -62,12 +69,40 @@ def _tile_grid(levels: Sequence[int], ms: int) -> List[Tuple[int, ...]]:
             count = bisect_right(divisors, limit)
             options = divisors[:count]
             if not options or options[-1] != limit:
-                options = options + [limit]
+                options = options + (limit,)
             for value in options:
                 next_prefixes.append(prefix + (value,))
                 next_products.append(product * value)
         prefixes, products = next_prefixes, next_products
     return prefixes
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _candidate_tiles(
+    levels: Tuple[int, ...], ms: int, columns: Tuple[int, ...], width: int
+):
+    """The :func:`_tile_grid` of ``(levels, ms)`` as a packed int64 array.
+
+    Level ``i`` fills column ``columns[i]`` of a ``(N, width)`` array in
+    ``as_tuple`` order; every other column is 1 (the fixed ``T_G`` /
+    ``T_N`` tiles).  The grid depends only on the layer dimensions and
+    ``ms``, so it is built once and shared by every mapper (every
+    ``dn_bw``/``rn_bw`` of a sweep) — hence returned read-only.
+    """
+    import numpy as np
+
+    grid = _tile_grid(levels, ms)
+    tiles = np.ones((len(grid), width), dtype=np.int64)
+    tiles[:, columns] = np.array(grid, dtype=np.int64).reshape(
+        len(grid), len(levels)
+    )
+    tiles.flags.writeable = False
+    return tiles
+
+
+#: ``as_tuple`` columns of the conv grid levels (T_R, T_S, T_C, T_K,
+#: T_X, T_Y); T_G and T_N (columns 4, 5) stay 1.
+_CONV_COLUMNS = (0, 1, 2, 3, 6, 7)
 
 
 @dataclass
@@ -137,10 +172,12 @@ class MrnaMapper:
     def score_conv(self, layer: ConvLayer) -> MappingChoice:
         """Best candidate with its estimated cycle count.
 
-        One numpy pass: the divisor grid is enumerated as plain tuples
-        (:func:`_tile_grid`), scored in a single
+        One numpy pass: the divisor grid is a packed int64 array
+        (:func:`_candidate_tiles`, memoized per layer dimensions and
+        ``ms_size``, so repeated layer shapes and every bandwidth of a
+        sweep reuse it), scored in a single
         :meth:`~repro.mrna.model.MaeriAnalyticalModel.conv_cycles_batch`
-        call, and only the argmin row becomes a :class:`ConvMapping`.
+        call; only the argmin row becomes a :class:`ConvMapping`.
         Bit-identical to the scalar scan (same candidate order, argmin
         keeps the first minimum); layers near int64 limits replay the
         exact scalar loop.
@@ -161,19 +198,13 @@ class MrnaMapper:
         import numpy as np
 
         ms = self.config.ms_size
-        grid = _tile_grid(
+        tiles = _candidate_tiles(
             (
                 layer.R, layer.S, layer.C // layer.G,
                 layer.K // layer.G, layer.P, layer.Q,
             ),
-            ms,
+            ms, _CONV_COLUMNS, 8,
         )
-        # Grid order (T_R, T_S, T_C, T_K, T_X, T_Y) -> as_tuple order
-        # with the fixed T_G = T_N = 1 columns inserted.
-        packed = np.array(grid, dtype=np.int64).reshape(len(grid), 6)
-        tiles = np.ones((len(grid), 8), dtype=np.int64)
-        tiles[:, (0, 1, 2, 3)] = packed[:, (0, 1, 2, 3)]
-        tiles[:, (6, 7)] = packed[:, (4, 5)]
         valid = np.flatnonzero(~conv_batch_invalid(layer, tiles, ms))
         if not valid.size:
             raise TuningError(f"no valid conv mapping for layer {layer.name!r}")
@@ -190,10 +221,9 @@ class MrnaMapper:
         import numpy as np
 
         ms = self.config.ms_size
-        grid = _tile_grid((layer.out_features, layer.in_features), ms)
-        packed = np.array(grid, dtype=np.int64).reshape(len(grid), 2)
-        tiles = np.ones((len(grid), 3), dtype=np.int64)
-        tiles[:, (0, 1)] = packed
+        tiles = _candidate_tiles(
+            (layer.out_features, layer.in_features), ms, (0, 1), 3
+        )
         valid = np.flatnonzero(~fc_batch_invalid(layer, tiles, ms))
         if not valid.size:
             raise TuningError(f"no valid FC mapping for layer {layer.name!r}")

@@ -485,8 +485,7 @@ _SECTION_TYPES = (
 )
 
 
-def field_specs() -> List[FieldSpec]:
-    """Every configuration knob, in declaration order."""
+def _build_field_specs() -> Tuple[FieldSpec, ...]:
     specs: List[FieldSpec] = []
     for section_name, section_type in _SECTION_TYPES:
         for f in fields(section_type):
@@ -505,10 +504,23 @@ def field_specs() -> List[FieldSpec]:
                     metavar=meta.get("metavar"),
                 )
             )
-    return specs
+    return tuple(specs)
 
 
-_SPECS_BY_KEY: Dict[str, FieldSpec] = {spec.key: spec for spec in field_specs()}
+#: Every knob, built once: the sections are fixed at import, and the
+#: flat/nested views below walk this tuple on every config conversion.
+_FIELD_SPECS: Tuple[FieldSpec, ...] = _build_field_specs()
+_SPECS_BY_KEY: Dict[str, FieldSpec] = {spec.key: spec for spec in _FIELD_SPECS}
+#: ``(section, field name) -> spec``: the nested spelling of each knob.
+_SPECS_BY_FIELD: Dict[Tuple[str, str], FieldSpec] = {
+    (spec.section, spec.name): spec for spec in _FIELD_SPECS
+}
+_SECTION_NAMES = tuple(section for section, _ in _SECTION_TYPES)
+
+
+def field_specs() -> List[FieldSpec]:
+    """Every configuration knob, in declaration order (a fresh list)."""
+    return list(_FIELD_SPECS)
 
 
 def known_keys() -> List[str]:
@@ -542,10 +554,10 @@ class SessionConfig:
     # ------------------------------------------------------------------
     def to_flat(self) -> Dict[str, Any]:
         """The config as one flat ``{key: value}`` mapping."""
-        flat: Dict[str, Any] = {}
-        for spec in field_specs():
-            flat[spec.key] = getattr(getattr(self, spec.section), spec.name)
-        return flat
+        return {
+            spec.key: getattr(getattr(self, spec.section), spec.name)
+            for spec in _FIELD_SPECS
+        }
 
     def with_overrides(self, **overrides: Any) -> "SessionConfig":
         """A copy with flat-key overrides applied (unknown keys raise)."""
@@ -575,7 +587,7 @@ class SessionConfig:
         """Nested plain-type dict; round-trips through :meth:`from_dict`
         (and therefore through ``repro config show --json``)."""
         data: Dict[str, Dict[str, Any]] = {}
-        for spec in field_specs():
+        for spec in _FIELD_SPECS:
             value = getattr(getattr(self, spec.section), spec.name)
             if spec.kind == "workers":
                 value = list(value)
@@ -594,15 +606,11 @@ class SessionConfig:
                 f"config data must be a mapping of sections, got {type(data).__name__}"
             )
         flat: Dict[str, Any] = {}
-        section_fields = {
-            section: {f.name for f in fields(section_type)}
-            for section, section_type in _SECTION_TYPES
-        }
         for section, values in data.items():
-            if section not in section_fields:
+            if section not in _SECTION_NAMES:
                 raise ConfigError(
                     f"unknown config section {section!r}; expected one of "
-                    f"{sorted(section_fields)}"
+                    f"{sorted(_SECTION_NAMES)}"
                 )
             if not isinstance(values, Mapping):
                 raise ConfigError(
@@ -610,15 +618,15 @@ class SessionConfig:
                     f"got {type(values).__name__}"
                 )
             for name, value in values.items():
-                if name not in section_fields[section]:
+                spec = _SPECS_BY_FIELD.get((section, name))
+                if spec is None:
+                    known = sorted(
+                        s.name for s in _FIELD_SPECS if s.section == section
+                    )
                     raise ConfigError(
                         f"unknown key {name!r} in config section {section!r}; "
-                        f"expected one of {sorted(section_fields[section])}"
+                        f"expected one of {known}"
                     )
-                spec = next(
-                    s for s in _SPECS_BY_KEY.values()
-                    if s.section == section and s.name == name
-                )
                 flat[spec.key] = value
         return self.with_overrides(**flat)
 
@@ -708,7 +716,7 @@ class SessionConfig:
         lines: List[str] = []
         for section, _ in _SECTION_TYPES:
             lines.append(f"[{section}]")
-            for spec in field_specs():
+            for spec in _FIELD_SPECS:
                 if spec.section != section:
                     continue
                 value = getattr(getattr(self, section), spec.name)
@@ -889,7 +897,7 @@ def env_overrides(
     """The flat overrides present in the environment (coerced)."""
     source = os.environ if environ is None else environ
     overrides: Dict[str, Any] = {}
-    for spec in field_specs():
+    for spec in _FIELD_SPECS:
         raw = source.get(spec.env)
         if raw is None or raw == "":
             continue
@@ -920,7 +928,7 @@ def add_config_arguments(parser) -> None:
         "--profile", metavar="NAME", default=None,
         help="named [profile.NAME] overlay from the --config file, "
              "merged over its base sections (env and flags still win)")
-    for spec in field_specs():
+    for spec in _FIELD_SPECS:
         if not spec.cli:
             continue
         kwargs: Dict[str, Any] = {

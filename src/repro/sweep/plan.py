@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, ReproError
-from repro.session.config import SessionConfig, _SPECS_BY_KEY, field_specs
+from repro.session.config import SessionConfig, _SPECS_BY_FIELD, _SPECS_BY_KEY
 
 #: Scenario kinds the sweep runner knows how to execute.
 SCENARIO_KINDS = ("run", "tune", "compare")
@@ -43,11 +43,10 @@ def resolve_axis_key(key: str) -> str:
     """
     if key in _SPECS_BY_KEY:
         return key
-    if "." in key:
-        section, _, name = key.partition(".")
-        for spec in field_specs():
-            if spec.section == section and spec.name == name:
-                return spec.key
+    section, dot, name = key.partition(".")
+    spec = _SPECS_BY_FIELD.get((section, name)) if dot else None
+    if spec is not None:
+        return spec.key
     raise ConfigError(
         f"unknown sweep axis {key!r}; use a flat config key "
         f"({', '.join(_SPECS_BY_KEY)}) or the dotted section.name form"
@@ -227,9 +226,8 @@ class SweepPlan:
                     # Labels carry the *coerced* value (what the config
                     # actually uses), so "64" from a CLI axis and 64
                     # from Python expand to the same scenario name.
-                    assignments = tuple(
-                        (key, config.to_flat()[key]) for key in axis_keys
-                    )
+                    flat = config.to_flat()
+                    assignments = tuple((key, flat[key]) for key in axis_keys)
                     parts = [model]
                     if profile_name is not None:
                         parts.append(profile_name)

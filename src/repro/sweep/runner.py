@@ -17,9 +17,11 @@ that share a hardware configuration into one
 Resource sharing is strict: every engine the sweep materializes uses the
 driving session's stats cache and executor backend, so a shared
 ``.sqlite`` cache path and one process pool serve the whole matrix.
-Engines are keyed by their config fingerprint — scenarios that differ
+Engines are memoized by architecture section: scenarios that differ
 only in non-hardware knobs (tuning budget, cache bounds, executor hints)
-reuse one engine and therefore one key space.
+look up one engine without building anything, and sections that
+resolve to the same hardware share one engine by config fingerprint
+and therefore one key space.
 
 ``Session.run``/``tune``/``compare`` construct single-scenario plans and
 execute through this same runner, so there is exactly one measurement
@@ -46,6 +48,11 @@ _CACHE_COUNTERS = ("cache_hits", "cache_misses")
 class SweepRunner:
     """Executes a :class:`SweepPlan` against one driving session.
 
+    Per-scenario work scales with what is distinct, not with the plan:
+    one hardware config and engine per distinct ``(architecture
+    section, functional)`` pair (:meth:`_engine_for`), one mapper per
+    (hardware, tuning section), one layer list per model per sweep.
+
     ``progress``, when given, is called with one event dict per
     milestone (``start``, ``plan``, ``execute``, ``scenario``, ``done``)
     — the hook the sweep service streams to watching clients.  Events
@@ -59,16 +66,19 @@ class SweepRunner:
     def __init__(self, session, progress=None) -> None:
         self.session = session
         self._progress = progress
-        #: Engines by (fingerprint, functional); seeded with the
-        #: session's own so single-scenario sweeps are bit-identical to
-        #: the pre-sweep entry points.
-        self._engines: Dict[Tuple[str, bool], Any] = {
-            (session.engine.fingerprint, session.engine.functional):
-                session.engine
+        own = (session.engine, session.simulator_config)
+        #: (engine, simulator config) by (fingerprint, functional);
+        #: seeded with the session's own so single-scenario sweeps are
+        #: bit-identical to the pre-sweep entry points.
+        self._engines: Dict[Tuple[str, bool], Tuple[Any, Any]] = {
+            (session.engine.fingerprint, session.engine.functional): own
         }
-        self._sim_configs: Dict[Tuple[str, bool], Tuple[Any, List[str]]] = {
-            (session.engine.fingerprint, session.engine.functional):
-                (session.simulator_config, session.corrections)
+        #: The same pairs by (architecture section, functional) — both
+        #: frozen and hashable — so a sweep builds a hardware config and
+        #: an engine once per distinct section, not once per scenario.
+        self._by_architecture: Dict[Tuple[Any, bool], Tuple[Any, Any]] = {
+            (session.config.architecture, session.config.engine.functional):
+                own
         }
         #: MappingConfigurators by (engine fingerprint, tuning section).
         self._mappers: Dict[Tuple[str, Any], Any] = {
@@ -82,24 +92,27 @@ class SweepRunner:
     def _engine_for(self, scenario: Scenario):
         """The (engine, simulator_config) pair executing ``scenario``.
 
-        Scenarios whose architecture section (and functional flag) match
-        the driving session reuse its engine — which also honours a
-        hand-built ``Session(simulator_config=...)``.  Anything else
-        builds a hardware config from the scenario's architecture
-        section and reuses an engine per fingerprint, always sharing the
-        session's cache and executor backend.
+        Memoized by the scenario's ``(architecture section, functional)``
+        pair: only the first scenario with a given section builds a
+        hardware config and an engine; every later one is a dict lookup.
+        The driving session's pair is seeded, so scenarios that match it
+        reuse the session's engine — which also honours a hand-built
+        ``Session(simulator_config=...)``.  Behind the memo, engines are
+        shared per hardware fingerprint: two sections that resolve to
+        the same hardware (MAERI ignores ``sparsity_ratio``, say) share
+        one engine and key space.  Every engine uses the session's cache
+        and executor backend.
         """
         from repro.engine import EvaluationEngine
 
-        session = self.session
         config = scenario.config
-        if (
-            config.architecture == session.config.architecture
-            and config.engine.functional == session.config.engine.functional
-        ):
-            return session.engine, session.simulator_config
+        arch_key = (config.architecture, config.engine.functional)
+        found = self._by_architecture.get(arch_key)
+        if found is not None:
+            return found
 
-        sim_config, corrections = config.build_simulator_config()
+        session = self.session
+        sim_config, _ = config.build_simulator_config()
         engine = EvaluationEngine(
             sim_config,
             session.params,
@@ -108,15 +121,14 @@ class SweepRunner:
             max_workers=session.config.engine.max_workers,
             functional=config.engine.functional,
         )
-        key = (engine.fingerprint, engine.functional)
-        if key in self._engines:
-            # Same hardware as an earlier scenario: share its engine (and
-            # key space).  The probe engine holds no resources of its own
-            # — the backend instance above is the session's.
-            return self._engines[key], self._sim_configs[key][0]
-        self._engines[key] = engine
-        self._sim_configs[key] = (sim_config, corrections)
-        return engine, sim_config
+        # Same hardware as an earlier section: share its engine (and key
+        # space).  A discarded engine holds no resources of its own — the
+        # backend instance above is the session's.
+        found = self._engines.setdefault(
+            (engine.fingerprint, engine.functional), (engine, sim_config)
+        )
+        self._by_architecture[arch_key] = found
+        return found
 
     def _mapper_for(self, scenario: Scenario, engine, sim_config):
         """One MappingConfigurator per (hardware, tuning section)."""
@@ -197,11 +209,14 @@ class SweepRunner:
         from repro.engine import EvalRequest
         from repro.session.session import zoo_layers
 
+        # Layers per model, built once per sweep (not per scenario).
+        # Scoped to this call: the zoo may be re-registered between sweeps.
+        layers_of: Dict[str, List[Any]] = {}
         started = time.perf_counter()
         tier_baseline = self._tier_counters()
         baseline = {
             id(engine): {k: getattr(engine, k) for k in _ENGINE_COUNTERS}
-            for engine in self._engines.values()
+            for engine, _ in self._engines.values()
         }
         cache = self.session.engine.cache
         cache_baseline = {k: getattr(cache, k.split("_", 1)[1])
@@ -244,8 +259,13 @@ class SweepRunner:
             batch_plan = None
             if scenario.kind == "run":
                 mapper = self._mapper_for(scenario, engine, sim_config)
+                layers = layers_of.get(scenario.model)
+                if layers is None:
+                    layers = layers_of[scenario.model] = zoo_layers(
+                        scenario.model
+                    )
                 requests = []
-                for layer in zoo_layers(scenario.model):
+                for layer in layers:
                     mapping = (
                         mapper.mapping_for(layer)
                         if engine.requires_mapping
@@ -321,7 +341,7 @@ class SweepRunner:
         for key in _ENGINE_COUNTERS:
             counters[key] = sum(
                 getattr(engine, key) - baseline.get(id(engine), {}).get(key, 0)
-                for engine in self._engines.values()
+                for engine, _ in self._engines.values()
             )
         for key in _CACHE_COUNTERS:
             counters[key] = (

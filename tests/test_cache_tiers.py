@@ -466,3 +466,98 @@ class TestSqliteEviction:
         cache.close()
         assert stamps[json.dumps(list(_key(0)))] > stamps[
             json.dumps(list(_key(1)))]
+
+
+# ----------------------------------------------------------------------
+# put_many: one transaction per batch, same effect as a run of puts
+# ----------------------------------------------------------------------
+def _rows(path):
+    import sqlite3
+
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute(
+            "SELECT key, stats, accessed_at FROM stats ORDER BY accessed_at"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+class TestPutMany:
+    # Three rows written before the batch, then eight more: with a cap of
+    # five, the batch pushes out pre-existing rows and its own first rows.
+    BEFORE = [(_key(i), _stats(cycles=i + 1)) for i in range(3)]
+    BATCH = [(_key(i), _stats(cycles=100 + i)) for i in range(1, 9)]
+
+    @pytest.mark.parametrize("max_rows", [None, 5, 2])
+    def test_matches_a_run_of_puts(self, tmp_path, max_rows):
+        one = SqliteStatsCache(tmp_path / "one.sqlite", max_rows=max_rows)
+        many = SqliteStatsCache(tmp_path / "many.sqlite", max_rows=max_rows)
+        for cache in (one, many):
+            for key, stats in self.BEFORE:
+                cache.put(key, stats)
+        for key, stats in self.BATCH:
+            one.put(key, stats)
+        many.put_many(self.BATCH)
+        rows = _rows(tmp_path / "many.sqlite")
+        assert rows == _rows(tmp_path / "one.sqlite")
+        assert len(rows) == (9 if max_rows is None else max_rows)
+        stamps = [stamp for _key_text, _stats_text, stamp in rows]
+        assert stamps == sorted(set(stamps))  # distinct, increasing
+        assert many.evictions == one.evictions
+        assert many.evictions == (0 if max_rows is None else 9 - max_rows)
+        assert len(many) == len(one)
+        for key, _ in self.BEFORE + self.BATCH:
+            assert many.get(key) == one.get(key)
+        one.close()
+        many.close()
+
+    def test_batch_stamps_follow_call_order(self, tmp_path):
+        cache = SqliteStatsCache(tmp_path / "order.sqlite")
+        cache.put_many(self.BATCH)
+        cache.close()
+        keys = [key_text for key_text, _stats_text, _ in
+                _rows(tmp_path / "order.sqlite")]
+        assert keys == [json.dumps(list(key)) for key, _ in self.BATCH]
+
+    def test_committed_when_it_returns(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "shared.sqlite"
+        cache = SqliteStatsCache(path)
+        other = sqlite3.connect(str(path))
+        assert other.execute("SELECT COUNT(*) FROM stats").fetchone()[0] == 0
+        cache.put_many(self.BATCH)
+        # Still open: a second connection sees the whole batch without
+        # the writer closing or committing anything else.
+        seen = {row[0] for row in other.execute("SELECT key FROM stats")}
+        assert seen == {json.dumps(list(key)) for key, _ in self.BATCH}
+        other.close()
+        cache.close()
+
+    def test_empty_batch_is_a_no_op(self, tmp_path):
+        cache = SqliteStatsCache(tmp_path / "empty.sqlite")
+        cache.put_many([])
+        assert cache.disk_entries() == 0
+        cache.close()
+
+    def test_jsonl_spills_each_new_key_once(self, tmp_path):
+        path = tmp_path / "spill.jsonl"
+        cache = PersistentStatsCache(path)
+        cache.put(_key(1), _stats(cycles=5))
+        cache.put_many(self.BATCH + self.BATCH[:2])
+        cache.close()
+        keys = [tuple(json.loads(line)["key"][2])
+                for line in path.read_text().splitlines()]
+        assert sorted(keys) == [(i,) for i in range(1, 9)]
+        warm = PersistentStatsCache(path)
+        assert warm.get(_key(8)).cycles == 108
+        warm.close()
+
+    def test_memory_tier_put_many(self):
+        cache = StatsCache(max_entries=4)
+        cache.put_many(self.BATCH)
+        assert len(cache) == 4
+        assert cache.evictions == 4
+        assert cache.get(_key(8)).cycles == 108
+        assert cache.get(_key(1)) is None

@@ -98,3 +98,95 @@ class TestMapper:
         mapper = MrnaMapper(maeri_config(ms_size=8))
         mapping = mapper.map_conv(conv)
         assert mapping.multipliers_used <= 8
+
+
+def _random_conv(rng, index):
+    groups = rng.choice([1, 2, 4])
+    r, s = rng.randint(1, 4), rng.randint(1, 4)
+    dil_h, dil_w = rng.randint(1, 2), rng.randint(1, 2)
+    pad = rng.randint(0, 1)
+    eff_r, eff_s = (r - 1) * dil_h + 1, (s - 1) * dil_w + 1
+    return ConvLayer(
+        f"c{index}",
+        C=groups * rng.randint(1, 6),
+        H=max(1, eff_r - 2 * pad) + rng.randint(0, 9),
+        W=max(1, eff_s - 2 * pad) + rng.randint(0, 9),
+        K=groups * rng.randint(1, 8),
+        R=r, S=s,
+        stride_h=rng.randint(1, 2), stride_w=rng.randint(1, 2),
+        pad_h=pad, pad_w=pad,
+        G=groups, dil_h=dil_h, dil_w=dil_w,
+    )
+
+
+def _random_fc(rng, index):
+    return FcLayer(
+        f"f{index}",
+        in_features=rng.randint(1, 300),
+        out_features=rng.randint(1, 300),
+    )
+
+
+class TestBatchScorerMemo:
+    """The memoized candidate grid scores exactly like the scalar scan.
+
+    The oracle is the original per-candidate loop
+    (``_score_*_scalar``: ``ConvMapping`` objects, ``validate_for`` and
+    the scalar analytical model), which shares no grid or array code
+    with the batch path.
+    """
+
+    @pytest.mark.parametrize("ms_size", [8, 32, 64, 512])
+    def test_conv_batch_equals_scalar_cold_and_memoized(self, ms_size):
+        import random
+
+        from repro.mrna.mapper import _candidate_tiles
+
+        mapper = MrnaMapper(maeri_config(ms_size=ms_size))
+        rng = random.Random(ms_size)
+        layers = [_random_conv(rng, i) for i in range(12)]
+        _candidate_tiles.cache_clear()
+        for layer in layers:
+            expected = mapper._score_conv_scalar(layer)
+            for _ in range(2):  # cold, then served from the memo
+                got = mapper.score_conv(layer)
+                assert got.mapping == expected.mapping, layer
+                assert got.estimated_cycles == expected.estimated_cycles
+        info = _candidate_tiles.cache_info()
+        assert info.hits >= len(layers)
+
+    @pytest.mark.parametrize("ms_size", [8, 32, 64, 512])
+    def test_fc_batch_equals_scalar_cold_and_memoized(self, ms_size):
+        import random
+
+        from repro.mrna.mapper import _candidate_tiles
+
+        mapper = MrnaMapper(maeri_config(ms_size=ms_size))
+        rng = random.Random(1000 + ms_size)
+        layers = [_random_fc(rng, i) for i in range(12)]
+        _candidate_tiles.cache_clear()
+        for layer in layers:
+            expected = mapper._score_fc_scalar(layer)
+            for _ in range(2):
+                got = mapper.score_fc(layer)
+                assert got.mapping == expected.mapping, layer
+                assert got.estimated_cycles == expected.estimated_cycles
+        assert _candidate_tiles.cache_info().hits >= len(layers)
+
+    def test_grid_is_shared_across_bandwidths_but_not_array_sizes(self, conv):
+        from repro.mrna.mapper import _candidate_tiles
+
+        _candidate_tiles.cache_clear()
+        for dn_bw in (16, 32, 64, 128):
+            MrnaMapper(maeri_config(ms_size=64, dn_bw=dn_bw)).score_conv(conv)
+        assert _candidate_tiles.cache_info().currsize == 1
+        MrnaMapper(maeri_config(ms_size=128)).score_conv(conv)
+        assert _candidate_tiles.cache_info().currsize == 2
+
+    def test_cached_grid_is_read_only(self):
+        from repro.mrna.mapper import _candidate_tiles
+
+        tiles = _candidate_tiles((3, 3, 4, 8, 5, 5), 64, (0, 1, 2, 3, 6, 7), 8)
+        with pytest.raises(ValueError):
+            tiles[0, 0] = 2
+        assert tiles[0].tolist() == [1] * 8

@@ -55,6 +55,23 @@ class TestSessionTracing:
         assert chunk_spans
         assert all(s["lane"].startswith("slot-") for s in chunk_spans)
 
+    def test_mapper_and_batched_sqlite_writes_are_spans(
+        self, tmp_path, traced
+    ):
+        with Session(executor="serial", mapping="mrna",
+                     cache_path=str(tmp_path / "c.sqlite")) as session:
+            report = session.sweep(
+                SweepPlan.matrix(session.config, models=["mlp", "lenet"]))
+        spans = TRACER.spans()
+        mrna = [s for s in spans if s["name"] == "mapping.mrna"]
+        # One per distinct layer shape: mlp's 3 and lenet's 5.
+        assert len(mrna) == 8 and {s["cat"] for s in mrna} == {"mapping"}
+        writes = [s for s in spans if s["name"] == "cache.put_many"]
+        assert writes and all(s["cat"] == "cache" for s in writes)
+        assert all(s["args"]["tier"] == "sqlite" for s in writes)
+        rows = sum(s["args"]["rows"] for s in writes)
+        assert rows == report.counters["num_simulations"]
+
     def test_session_owns_tracer_and_writes_file(self, tmp_path):
         path = tmp_path / "trace.json"
         with Session(executor="thread", max_workers=2, trace=True,

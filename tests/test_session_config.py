@@ -47,6 +47,19 @@ class TestDefaults:
         for spec in field_specs():
             assert spec.env.startswith("REPRO_")
 
+    def test_field_specs_returns_a_fresh_list(self):
+        first = field_specs()
+        count, head = len(first), first[0]
+        first.clear()
+        second = field_specs()
+        assert len(second) == count and second[0] == head
+        second.reverse()
+        assert field_specs()[0] == head
+        # Conversions read the specs too: none of them see the mutation.
+        cfg = SessionConfig()
+        assert len(cfg.to_flat()) == count
+        assert SessionConfig.from_dict(cfg.to_dict()) == cfg
+
 
 class TestFileLayer:
     def test_toml_file(self, tmp_path):

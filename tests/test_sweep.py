@@ -210,6 +210,63 @@ class TestCrossScenarioDedup:
                 s.sweep(["mlp"])
 
 
+class TestEngineMemo:
+    """A sweep builds one engine per distinct (architecture, functional)
+    pair, however many scenarios share it."""
+
+    PROFILES = {
+        "maeri": {"architecture": {"arch": "maeri"}},
+        "sigma": {"architecture": {"arch": "sigma"}},
+    }
+    AXES = {"ms_size": [64, 128], "sparsity_ratio": [0.0, 0.5]}
+    MODELS = ["mlp", "lenet", "grouped_conv"]
+
+    def test_one_engine_per_architecture_section(self, monkeypatch):
+        from repro.engine import EvaluationEngine
+
+        plan = SweepPlan.matrix(
+            CFG, models=self.MODELS, profiles=self.PROFILES, axes=self.AXES
+        )
+        sections = {
+            (s.config.architecture, s.config.engine.functional)
+            for s in plan.scenarios
+        }
+        assert len(plan) == 24 and len(sections) == 8
+        built = []
+        original = EvaluationEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            built.append(engine)
+            original(engine, *args, **kwargs)
+
+        with Session(CFG) as s:
+            own = (CFG.architecture, CFG.engine.functional)
+            monkeypatch.setattr(EvaluationEngine, "__init__", counting_init)
+            report = s.sweep(plan)
+            monkeypatch.setattr(EvaluationEngine, "__init__", original)
+        # The session's own section (maeri, ms_size 128, ratio 0) reuses
+        # the session's engine; every other section builds exactly one.
+        assert own in sections
+        assert len(built) == len(sections) - 1
+
+        for scenario in plan.scenarios:
+            with Session(scenario.config) as single:
+                alone = single.run(scenario.model)
+            assert report[scenario.name].layer_stats == alone.layer_stats
+
+    def test_equal_hardware_shares_one_key_space(self):
+        # MAERI ignores sparsity_ratio: both sections resolve to the same
+        # hardware, so the second simulates nothing.
+        plan = SweepPlan.matrix(
+            CFG, models=["lenet"], axes={"sparsity_ratio": [0.0, 0.5]}
+        )
+        with Session(CFG) as s:
+            report = s.sweep(plan)
+        assert report.counters["num_simulations"] == len(
+            report.scenarios[0].report.layer_stats
+        )
+
+
 class TestSweepReport:
     @pytest.fixture(scope="class")
     def report(self):
