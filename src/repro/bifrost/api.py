@@ -28,6 +28,7 @@ import numpy as np
 from repro.bifrost.mapping_config import MappingConfigurator
 from repro.engine import EvaluationEngine
 from repro.errors import LayerError, SimulationError
+from repro.obs.trace import TRACER
 from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
@@ -53,7 +54,10 @@ class StonneBifrostApi:
     Stats lookups route through the session's evaluation engine, so a
     repeated shape in one graph skips the cycle model — the functional
     datapath (the im2col GEMM that produces real outputs) still executes
-    for every call.
+    for every call, once, on the caller's tensors.  The engine is told
+    so (``caller_tensors=True``): even a ``functional`` engine then runs
+    no synthetic datapath of its own for these layers, since that pass
+    only stands in for real STONNE's cost where no tensors exist.
 
     Built by :class:`repro.session.Session` (its ``.api``), which hands
     in the session's engine through ``_engine``.  Constructed directly,
@@ -157,35 +161,38 @@ class StonneBifrostApi:
                 f"weight channels {c_per_g} != C/groups = {c // groups}"
             )
         weights = self._maybe_prune(weights)
+        requires_mapping = self._controller_cls().requires_mapping
 
-        if self._controller_cls().requires_mapping:
-            # Mapping-driven architectures (MAERI) consume NHWC/RSCK (§V-B1).
-            # Steps i-ii: transpose NCHW -> NHWC and KCRS -> RSCK on the CPU.
-            nhwc = nchw_to_nhwc(np.asarray(data, dtype=np.float64))
-            rsck = np.ascontiguousarray(
-                np.asarray(weights, dtype=np.float64).transpose(2, 3, 1, 0)
-            )
-            # Steps iii-v: resolve the mapping, then the session engine
-            # serves the cycle model (cached for repeated shapes) while
-            # the exact datapath always executes to produce outputs.
-            mapping = self.mappings.mapping_for(layer)
-            stats = self.engine.evaluate(layer, mapping)
-            raw = _conv_via_gemm(
-                nhwc_to_nchw(nhwc),               # functional path is NCHW
-                rsck_to_kcrs(rsck),
-                layer,
-            )
-            # Step vi: NPQK -> NKPQ back to the caller's layout.
-            output = npqk_to_nkpq(
-                np.ascontiguousarray(raw.transpose(0, 2, 3, 1))
-            )
-        else:
-            stats = self.engine.evaluate(layer)
-            output = _conv_via_gemm(
-                np.asarray(data, dtype=np.float64),
-                np.asarray(weights, dtype=np.float64),
-                layer,
-            )
+        # Steps iii-v: resolve the mapping, then the session engine
+        # serves the cycle model (cached for repeated shapes).  The
+        # exact datapath below always executes to produce outputs.
+        mapping = self.mappings.mapping_for(layer) if requires_mapping else None
+        stats = self.engine.evaluate(layer, mapping, caller_tensors=True)
+        with TRACER.span("bifrost.datapath", category="bifrost",
+                         layer=layer.name, op="conv2d"):
+            if requires_mapping:
+                # Mapping-driven architectures (MAERI) consume NHWC/RSCK
+                # (§V-B1).  Steps i-ii: transpose NCHW -> NHWC and
+                # KCRS -> RSCK on the CPU.
+                nhwc = nchw_to_nhwc(np.asarray(data, dtype=np.float64))
+                rsck = np.ascontiguousarray(
+                    np.asarray(weights, dtype=np.float64).transpose(2, 3, 1, 0)
+                )
+                raw = _conv_via_gemm(
+                    nhwc_to_nchw(nhwc),               # functional path is NCHW
+                    rsck_to_kcrs(rsck),
+                    layer,
+                )
+                # Step vi: NPQK -> NKPQ back to the caller's layout.
+                output = npqk_to_nkpq(
+                    np.ascontiguousarray(raw.transpose(0, 2, 3, 1))
+                )
+            else:
+                output = _conv_via_gemm(
+                    np.asarray(data, dtype=np.float64),
+                    np.asarray(weights, dtype=np.float64),
+                    layer,
+                )
 
         # Step vii: record the stats.
         self.stats.append(stats)
@@ -246,8 +253,10 @@ class StonneBifrostApi:
         )
         # Cycle model through the session engine (cached for repeated
         # shapes); the functional GEMM always executes.
-        stats = self.engine.evaluate(layer, mapping)
-        output = np.asarray(data, dtype=np.float64) @ weights.T
+        stats = self.engine.evaluate(layer, mapping, caller_tensors=True)
+        with TRACER.span("bifrost.datapath", category="bifrost",
+                         layer=layer.name, op="dense"):
+            output = np.asarray(data, dtype=np.float64) @ weights.T
         self.stats.append(stats)
         return output
 

@@ -30,10 +30,15 @@ Components
     ``num_evaluations`` counters expose real simulation savings.
 
     ``functional=True`` additionally executes the exact datapath (the
-    im2col GEMM) per simulation, reproducing the cost profile of real
-    STONNE — which always computes outputs — so benchmarks can measure
-    cache benefit against realistic per-trial cost.  Stats are identical
-    with and without the functional datapath (mapping-invariance).
+    im2col GEMM) on synthetic tensors per simulation that has no caller
+    tensors — tuner trials, sweeps, ``run``/``run_layers`` and pool or
+    fleet workers — reproducing the cost profile of real STONNE, which
+    always computes outputs, so benchmarks can measure cache benefit
+    against realistic per-trial cost.  The offload API evaluates with
+    ``caller_tensors=True`` instead: it runs the exact datapath on the
+    real tensors itself, so the synthetic pass would only repeat that
+    work.  Stats are identical with and without the functional datapath
+    (mapping-invariance).
 
 :mod:`~repro.engine.backends`
     The executor backends ``evaluate_many`` runs cache misses on,
@@ -71,7 +76,8 @@ Who routes through it
   bit-identical;
 * ``repro.bifrost.api.StonneBifrostApi`` — offloaded conv2d/dense stats
   lookups go through the session engine, so repeated shapes in one graph
-  skip the cycle model (the functional datapath still executes);
+  skip the cycle model (the functional datapath still executes, once,
+  on the caller's tensors: the engine never adds a synthetic pass);
 * ``repro.bifrost.runner.run_layers`` — bare-descriptor benchmarking
   batches through the session's engine;
 * ``benchmarks/bench_engine_cache.py`` — measures the speedups.

@@ -140,8 +140,12 @@ def simulate_layer(controller, layer, mapping, functional: bool):
 
     This is the single definition of "simulate" shared by the engine's
     in-process path and the process-pool workers, so the two can never
-    drift apart.  Outputs of the functional datapath are discarded —
-    they never affect stats.
+    drift apart.  The functional datapath runs on synthetic all-ones
+    tensors and its outputs are discarded — they never affect stats.
+    It exists only for simulations without caller tensors (tuner
+    trials, sweeps, workers), to carry real STONNE's cost; the offload
+    API computes real outputs itself and has the engine pass
+    ``functional=False`` here.
     """
     import numpy as np
 

@@ -237,10 +237,16 @@ class EvaluationEngine:
             config/params fingerprint is part of every key.
         cache_enabled: When False every evaluation simulates (the cache
             is neither consulted nor populated); counters still track.
-        functional: When True every *simulation* also executes the exact
-            datapath (im2col GEMM) with synthetic tensors, reproducing
-            real STONNE's cost profile where the exact objective requires
-            a full simulation.  Statistics are identical either way.
+        functional: When True every simulation *without caller tensors*
+            (tuner trials, sweeps, ``run``/``run_layers``, pool and
+            fleet workers) also executes the exact datapath (im2col
+            GEMM) on synthetic all-ones tensors, reproducing real
+            STONNE's cost profile where the exact objective requires a
+            full simulation.  An evaluation made with
+            ``caller_tensors=True`` skips that pass: its caller (the
+            offload API) runs the exact datapath on the real tensors
+            itself, so a second synthetic pass would only repeat the
+            work.  Statistics are identical either way.
         executor: The backend every cache miss runs on, fixed for the
             engine's lifetime: a name from
             :func:`repro.engine.backends.registered_backends`
@@ -305,18 +311,34 @@ class EvaluationEngine:
         return controller
 
     # ------------------------------------------------------------------
-    def _simulate(self, layer: Layer, mapping: Optional[Mapping]) -> SimulationStats:
+    def _simulate(
+        self,
+        layer: Layer,
+        mapping: Optional[Mapping],
+        caller_tensors: bool = False,
+    ) -> SimulationStats:
         from repro.engine.backends import simulate_layer
 
         return simulate_layer(
-            self._local_controller(), layer, mapping, self.functional
+            self._local_controller(), layer, mapping,
+            self.functional and not caller_tensors,
         )
 
     # ------------------------------------------------------------------
     def evaluate(
-        self, layer: Layer, mapping: Optional[Mapping] = None
+        self,
+        layer: Layer,
+        mapping: Optional[Mapping] = None,
+        *,
+        caller_tensors: bool = False,
     ) -> SimulationStats:
-        """Stats for simulating ``layer`` (cache-first, then simulate)."""
+        """Stats for simulating ``layer`` (cache-first, then simulate).
+
+        ``caller_tensors=True`` says the caller executes the exact
+        datapath on its own tensors, so a miss on a functional engine
+        skips the synthetic pass.  Stats, counters and cache entries
+        are the same either way.
+        """
         if not isinstance(layer, (ConvLayer, FcLayer, GemmLayer)):
             raise SimulationError(
                 f"EvaluationEngine expects ConvLayer/FcLayer/GemmLayer, "
@@ -325,7 +347,7 @@ class EvaluationEngine:
         with self._counter_lock:
             self.num_evaluations += 1
         if not self.cache_enabled:
-            stats = self._simulate(layer, mapping)
+            stats = self._simulate(layer, mapping, caller_tensors)
             with self._counter_lock:
                 self.num_simulations += 1
             return stats
@@ -338,7 +360,7 @@ class EvaluationEngine:
             # cache may hand back its stored record, and mutating that
             # would rename every earlier hit of the same key.
             return cached.clone(layer_name=layer.name)
-        stats = self._simulate(layer, mapping)
+        stats = self._simulate(layer, mapping, caller_tensors)
         with self._counter_lock:
             self.num_simulations += 1
         self.cache.put(key, stats)

@@ -36,8 +36,8 @@ TRACE_VERSION = 1
 
 #: Span categories, one per stack tier (used by smoke checks).
 CATEGORIES = (
-    "session", "sweep", "mapping", "engine", "scheduler", "cache", "fleet",
-    "serve",
+    "session", "sweep", "mapping", "bifrost", "engine", "scheduler",
+    "cache", "fleet", "serve",
 )
 
 

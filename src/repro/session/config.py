@@ -189,8 +189,11 @@ class EngineConfig:
     functional: bool = field(
         default=False,
         metadata=_meta(kind="bool",
-                       help="also execute the exact im2col datapath per "
-                            "simulation (real STONNE's cost profile)"),
+                       help="also execute the exact im2col datapath on "
+                            "synthetic tensors per simulation without "
+                            "caller tensors (real STONNE's cost profile); "
+                            "offloaded graph layers compute on their real "
+                            "tensors once either way"),
     )
 
     def __post_init__(self) -> None:

@@ -12,9 +12,10 @@ from repro.bifrost import (
     registered_packed_funcs,
 )
 from repro.errors import LayerError, SimulationError
-from repro.stonne.config import maeri_config, sigma_config, tpu_config
+from repro.stonne.config import magma_config, maeri_config, sigma_config, tpu_config
 from repro.stonne.mapping import ConvMapping, FcMapping
 from repro.topi import conv2d_nchw, dense as dense_ref, kcrs_to_rsck, nchw_to_nhwc, nhwc_to_nchw
+from repro.topi.conv2d import conv2d_direct_nchw
 
 
 def make_api(config, strategy=MappingStrategy.DEFAULT):
@@ -66,6 +67,36 @@ class TestConv2dNchw:
         api = make_api(maeri128)
         with pytest.raises(LayerError):
             api.conv2d_nchw(rng.normal(size=(3, 8, 8)), rng.normal(size=(4, 3, 3, 3)))
+
+
+class TestDirectLoopOracle:
+    """The offload path against the loop-based direct convolution, which
+    shares no im2col or layout code with it (NHWC is built with plain
+    ``np.transpose``)."""
+
+    @pytest.mark.parametrize(
+        "config_fn", [maeri_config, sigma_config, tpu_config, magma_config]
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_nchw_and_nhwc_match_direct_loop(
+        self, rng, config_fn, stride, pad, groups
+    ):
+        data = rng.normal(size=(1, 4, 7, 7))
+        weights = rng.normal(size=(6, 4 // groups, 3, 3))
+        conv = dict(strides=(stride, stride), padding=(pad, pad), groups=groups)
+        expected = conv2d_direct_nchw(data, weights, **conv)
+        api = make_api(config_fn())
+        np.testing.assert_allclose(
+            api.conv2d_nchw(data, weights, **conv), expected, rtol=1e-9
+        )
+        out_nhwc = api.conv2d_nhwc(
+            data.transpose(0, 2, 3, 1), weights.transpose(2, 3, 1, 0), **conv
+        )
+        np.testing.assert_allclose(
+            out_nhwc, expected.transpose(0, 2, 3, 1), rtol=1e-9
+        )
 
 
 class TestConv2dNhwc:

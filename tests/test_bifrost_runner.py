@@ -88,6 +88,62 @@ class TestRunGraph:
         assert combined.layer_name == "lenet"
 
 
+ARCHS = ("maeri", "sigma", "tpu", "magma")
+
+
+@pytest.fixture
+def datapath_flags(monkeypatch):
+    """The ``functional`` argument of every ``simulate_layer`` call."""
+    from repro.engine import backends
+
+    flags = []
+    real = backends.simulate_layer
+
+    def recording(controller, layer, mapping, functional):
+        flags.append(functional)
+        return real(controller, layer, mapping, functional)
+
+    monkeypatch.setattr(backends, "simulate_layer", recording)
+    return flags
+
+
+class TestFunctionalGraphRun:
+    """A functional graph run computes each offloaded layer's datapath
+    once, on the real tensors; the engine adds no synthetic pass."""
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_graph_run_skips_the_synthetic_datapath(
+        self, arch, lenet_input, datapath_flags
+    ):
+        with Session(arch=arch, functional=True, executor="serial") as session:
+            session.run_graph(lenet_graph(), {"data": lenet_input})
+            simulations = session.engine.num_simulations
+        assert simulations == 5
+        assert datapath_flags == [False] * simulations
+
+    def test_run_keeps_the_synthetic_datapath(self, datapath_flags):
+        with Session(functional=True, executor="serial") as session:
+            session.run("lenet")
+        assert datapath_flags and all(datapath_flags)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_functional_flag_changes_neither_outputs_nor_stats(
+        self, arch, lenet_input
+    ):
+        reports, counters = {}, {}
+        for functional in (False, True):
+            with Session(arch=arch, functional=functional,
+                         executor="serial") as session:
+                reports[functional] = session.run_graph(
+                    lenet_graph(), {"data": lenet_input})
+                counters[functional] = session.engine.counters()
+        for plain, functional in zip(reports[False].outputs,
+                                     reports[True].outputs):
+            np.testing.assert_array_equal(plain, functional)
+        assert reports[True].layer_stats == reports[False].layer_stats
+        assert counters[True] == counters[False]
+
+
 class TestRunTorchStonne:
     def test_listing1_entry_point(self, rng, maeri128, make_api):
         model = tl.Sequential(

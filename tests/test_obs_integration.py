@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.engine import EvaluationEngine, StatsCache, backend_counters
 from repro.fleet.remote_backend import RemoteBackend
 from repro.fleet.worker import start_worker
+from repro.models import lenet_graph
 from repro.obs import TRACER
 from repro.session import Session
 from repro.session.reports import RunReport
@@ -95,6 +97,23 @@ class TestSessionTracing:
         assert TRACER.enabled
         assert session.trace_path is None
         assert len(TRACER.spans()) > 0
+
+    @pytest.mark.parametrize("arch", ["maeri", "sigma"])
+    def test_functional_graph_run_spans_each_offloaded_datapath(
+        self, arch, traced
+    ):
+        feeds = {"data": np.random.default_rng(0).normal(size=(1, 1, 28, 28))}
+        with Session(arch=arch, functional=True, executor="serial") as session:
+            # The second run is all cache hits; its layers still compute.
+            runs = [session.run_graph(lenet_graph(), feeds) for _ in range(2)]
+        datapath = [s for s in TRACER.spans() if s["name"] == "bifrost.datapath"]
+        assert {s["cat"] for s in datapath} == {"bifrost"}
+        layers = [stats.layer_name for run in runs for stats in run.layer_stats]
+        assert layers == ["conv1", "conv2", "fc1", "fc2", "fc3"] * 2
+        assert [(s["args"]["layer"], s["args"]["op"]) for s in datapath] == [
+            (name, "dense" if name.startswith("fc") else "conv2d")
+            for name in layers
+        ]
 
 
 # ----------------------------------------------------------------------
