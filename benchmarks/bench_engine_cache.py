@@ -145,8 +145,7 @@ def _ga_sweep(executor: str, cache=None):
 
 
 def test_backend_sweep_process_vs_serial(benchmark, results_dir):
-    """ProcessBackend must beat SerialBackend on a cold CPU-heavy sweep
-    (the GIL serializes the pure-Python cycle models, so threads can't)."""
+    """ProcessBackend must beat SerialBackend on a cold CPU-heavy sweep."""
 
     def _run():
         return _ga_sweep("serial"), _ga_sweep("process")

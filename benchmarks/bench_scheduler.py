@@ -16,21 +16,16 @@ fixed latency, emulating the heavyweight-functional / slow-remote-worker
 regime on any machine, including single-core CI — plus a tail of cheap
 layers.  It is a mechanism test: the injected sleeps stand in for work,
 so its speedups say the scheduler overlaps stragglers, not how fast any
-real workload runs.  It times three arms over identical work:
+real workload runs.  It times two arms over identical work:
 
 * **serial** — the one-slot queue drained on the calling thread (also
   the bit-identity reference and the "total busy time" used for the
   utilization estimate);
 * **pull** — ``run_plan_groups`` over all groups on a 4-worker process
-  pool;
-* **thread** — ``run_plan_groups`` on 4 puller threads.  The historical
-  claim that threads "help little" dated from the pure-Python cycle
-  models holding the GIL; with blocking waits and numpy batch kernels
-  releasing it, threads overlap too, and this arm keeps that claim
-  measured instead of folklore.
+  pool.
 
-Results must be bit-identical across all arms, and both the pull and
-the thread arm must beat serial by >= 1.5x wall-clock.  Emits
+Results must be bit-identical across both arms, and the pull arm must
+beat serial by >= 1.5x wall-clock.  Emits
 ``BENCH_scheduler.json`` with the wall times, the utilization estimates
 and the scheduler's chunk count.
 
@@ -48,7 +43,7 @@ from conftest import SMOKE, emit, scaled
 
 import repro.engine.backends as backends_mod
 from repro.engine import EvalRequest, EvaluationEngine
-from repro.engine.backends import ProcessBackend, ThreadBackend
+from repro.engine.backends import ProcessBackend
 from repro.engine.scheduler import run_plan_groups
 from repro.stonne.config import sigma_config
 from repro.stonne.layer import FcLayer
@@ -82,11 +77,7 @@ def _group_layers(group: int):
 def _engines(backend):
     """One engine per SIGMA size, all sharing ``backend``."""
     return [
-        EvaluationEngine(
-            sigma_config(ms_size=size),
-            executor=backend,
-            max_workers=WORKERS,
-        )
+        EvaluationEngine(sigma_config(ms_size=size), executor=backend)
         for size in GROUP_SIZES
     ]
 
@@ -139,36 +130,28 @@ def _warm_pool(backend):
 def _run():
     backends_mod.simulate_layer = _skewed_simulate
     backend = ProcessBackend(max_workers=WORKERS)
-    thread_backend = ThreadBackend(max_workers=WORKERS)
     try:
         serial_s, serial_stats = _serial_arm()
         _warm_pool(backend)
         pull_s, pull_stats, report = _pull_arm(backend)
-        thread_s, thread_stats, thread_report = _pull_arm(thread_backend)
     finally:
         backend.close()
-        thread_backend.close()
         backends_mod.simulate_layer = _REAL_SIMULATE
     return {
         "serial_s": serial_s,
         "pull_s": pull_s,
-        "thread_s": thread_s,
         "serial_stats": serial_stats,
         "pull_stats": pull_stats,
-        "thread_stats": thread_stats,
         "report": report,
-        "thread_report": thread_report,
     }
 
 
 def test_scheduler_saturation(benchmark, results_dir):
     out = benchmark.pedantic(_run, rounds=1, iterations=1)
     speedup = out["serial_s"] / out["pull_s"]
-    thread_speedup = out["serial_s"] / out["thread_s"]
     items = len(GROUP_SIZES) * (1 + LIGHT_LAYERS)
     # Utilization: busy time (the serial wall clock) over slot-seconds.
     util_pull = out["serial_s"] / (WORKERS * out["pull_s"])
-    util_thread = out["serial_s"] / (WORKERS * out["thread_s"])
     record = {
         "benchmark": "scheduler",
         "smoke": SMOKE,
@@ -178,15 +161,9 @@ def test_scheduler_saturation(benchmark, results_dir):
         "straggler_latency_s": SLOW_S,
         "serial_s": round(out["serial_s"], 4),
         "pull_s": round(out["pull_s"], 4),
-        "thread_s": round(out["thread_s"], 4),
         "pull_speedup_vs_serial": round(speedup, 3),
-        "thread_speedup_vs_serial": round(thread_speedup, 3),
         "utilization_pull": round(util_pull, 4),
-        "utilization_thread": round(util_thread, 4),
-        "bit_identical": (
-            out["pull_stats"] == out["serial_stats"]
-            and out["thread_stats"] == out["serial_stats"]
-        ),
+        "bit_identical": out["pull_stats"] == out["serial_stats"],
         "counters": out["report"],
     }
     (results_dir / "BENCH_scheduler.json").write_text(
@@ -199,24 +176,14 @@ def test_scheduler_saturation(benchmark, results_dir):
         f"{'':<10}{'wall s':>10}{'utilization':>13}",
         f"{'serial':<10}{out['serial_s']:>10.3f}{'':>13}",
         f"{'pull':<10}{out['pull_s']:>10.3f}{util_pull:>12.0%}",
-        f"{'thread':<10}{out['thread_s']:>10.3f}{util_thread:>12.0%}",
         f"pull vs serial: {speedup:.2f}x   "
-        f"thread vs serial: {thread_speedup:.2f}x   "
         f"counters: {out['report']['chunks_pulled']} pulls",
     ]
     emit(results_dir, "scheduler", "\n".join(lines))
 
-    # Correctness first: all three arms bit-identical.
+    # Correctness first: both arms bit-identical.
     assert out["pull_stats"] == out["serial_stats"]
-    assert out["thread_stats"] == out["serial_stats"]
     # The straggler injection only reaches pool workers where the pool
     # forks (Linux); without it there is no skew to reclaim.
     if not SMOKE and multiprocessing.get_start_method() == "fork":
         assert speedup >= 1.5, f"pull speedup only {speedup:.2f}x"
-    # Thread slots share the patched interpreter on every platform; the
-    # straggler sleeps (and numpy batch kernels) release the GIL, so
-    # threads must reclaim the skew too.
-    if not SMOKE:
-        assert thread_speedup >= 1.5, (
-            f"thread speedup only {thread_speedup:.2f}x"
-        )

@@ -6,7 +6,7 @@ Proves the harness's three properties end to end:
    produce identical stdout — same plan, same per-scenario digests,
    same plan digest;
 2. cross-check: the fixed-seed batch is bit-identical across the
-   serial, thread and process executors (exit 0), covering all four
+   serial and process executors (exit 0), covering all four
    controllers plus the curated modern workloads (transformer,
    depthwise/dilated/grouped/NHWC conv);
 3. shrink-on-failure: an artificially injected per-executor divergence
@@ -46,7 +46,7 @@ def run_cli(*argv, expect=0):
 
 def main() -> int:
     # 1 + 2. Fixed-seed batch: deterministic and bit-identical across
-    # serial/thread/process (the CLI exits non-zero on any divergence).
+    # serial/process (the CLI exits non-zero on any divergence).
     argv = ("sweep", "--fuzz", "8", "--seed", "7", "--max-workers", "2")
     first = run_cli(*argv)
     second = run_cli(*argv)
@@ -54,14 +54,14 @@ def main() -> int:
         f"fuzz not deterministic across invocations:\n--- first\n{first}"
         f"--- second\n{second}"
     )
-    assert "bit-identical across serial, thread, process" in first, first
+    assert "bit-identical across serial, process" in first, first
     for model in ("transformer", "depthwise_sep", "dilated_conv",
                   "grouped_conv", "nhwc_conv"):
         assert model in first, f"curated model {model} missing:\n{first}"
     for arch in ("maeri", "sigma", "tpu", "magma"):
         assert f"/{arch}/" in first, f"controller {arch} missing:\n{first}"
     print("fuzz --fuzz 8 --seed 7: deterministic, bit-identical across "
-          "serial/thread/process, all four controllers covered")
+          "serial/process, all four controllers covered")
 
     # 3. Injected divergence: caught, shrunk, re-emitted, replayable.
     from repro import fuzz
@@ -75,10 +75,10 @@ def main() -> int:
     faulty_layer = layers[0].name
 
     def inject(executor, scenario_name, stats_dicts):
-        # A deterministic "kernel bug" visible only on the thread
+        # A deterministic "kernel bug" visible only on the process
         # backend and only for one layer, so the shrinker can isolate
         # it out of whatever stack the scenario carries.
-        if executor != "thread":
+        if executor != "process":
             return stats_dicts
         out = [dict(s) for s in stats_dicts]
         touched = False
@@ -88,7 +88,7 @@ def main() -> int:
                 touched = True
         return out if touched else stats_dicts
 
-    executors = ("serial", "thread")
+    executors = ("serial", "process")
     result = fuzz.cross_check(plan, base=base, executors=executors,
                               inject=inject)
     assert victim.name in result.divergent, (

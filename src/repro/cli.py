@@ -628,7 +628,7 @@ workload zoo & fuzzing:
   `repro sweep --fuzz N --seed S` turns the sweep tier into a
   correctness oracle: N seeded random scenarios (random layer shapes,
   accelerator configs and mapping spaces) run once per executor
-  backend (serial/thread/process, remote when fleet workers are
+  backend (serial/process, remote when fleet workers are
   configured) and every simulation statistic is cross-checked for
   bit-identical results.  Same seed, same plan, same digests.  A
   divergence is shrunk to a minimal reproducing scenario and written
@@ -680,7 +680,7 @@ sweep service:
 
 pull scheduling:
   Multi-scenario batches drain through one shared queue of chunks:
-  each executor slot (thread, process, or fleet capacity unit) pulls
+  each executor slot (pool process or fleet capacity unit) pulls
   the next chunk as it finishes, so a slow slot simply pulls fewer and
   engine groups overlap instead of running back to back.  Chunk size
   follows from the batch and slot count.  A worker started with
@@ -774,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fuzz", type=int, metavar="N",
         help="instead of --models: generate N seeded random scenarios "
              "(random layers/configs/mappings), run them once per "
-             "executor backend (serial/thread/process, remote when "
+             "executor backend (serial/process, remote when "
              "fleet workers are configured) and cross-check for "
              "bit-identical stats; divergences shrink to a minimal "
              "repro TOML (exit 4).  Seeded by --seed")

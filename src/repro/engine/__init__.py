@@ -25,8 +25,9 @@ Components
     architecture through the controller registry, consults the cache,
     and simulates on a miss; ``evaluate_many`` hands a batch of
     :class:`~repro.engine.evaluation.EvalRequest` misses to the pull
-    scheduler (each puller thread gets its own controller instance, so
-    the cycle models' internal tallies never race).  ``num_simulations`` vs
+    scheduler (each puller thread that simulates inline gets its own
+    controller instance, so the cycle models' internal tallies never
+    race).  ``num_simulations`` vs
     ``num_evaluations`` counters expose real simulation savings.
 
     ``functional=True`` additionally executes the exact datapath (the
@@ -43,13 +44,14 @@ Components
 :mod:`~repro.engine.backends`
     The executor backends ``evaluate_many`` runs cache misses on,
     selected by name through a registry that mirrors the controller
-    registry: ``serial`` (one inline slot), ``thread`` (one puller
-    thread per slot; numpy batch kernels release the GIL), and
-    ``process`` (a process pool — controllers are pure functions of
-    (config, params, layer, mapping) and pickle cleanly, so workers
-    simulate independently and return ``(key, stats)`` pairs that merge
-    into the parent cache).  Each backend only says how many slots it
-    has and how one slot runs a chunk.
+    registry: ``serial`` (one inline slot), ``process`` (a process pool
+    — controllers are pure functions of (config, params, layer,
+    mapping) and pickle cleanly, so workers simulate independently and
+    return ``(key, stats)`` pairs that merge into the parent cache) and
+    ``remote`` (fleet workers, :mod:`repro.fleet`).  Each backend only
+    says how many slots it has and how one slot runs a chunk; whatever
+    runs locally goes through the one inline chunk path,
+    :meth:`~repro.engine.backends.ExecutorBackend.run_chunk`.
 
 :class:`~repro.engine.cache.PersistentStatsCache`
     The disk tier: an append-only JSONL spill under the in-memory LRU.
@@ -92,7 +94,6 @@ from repro.engine.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
     register_backend,
     registered_backends,
@@ -123,7 +124,6 @@ __all__ = [
     "SerialBackend",
     "SqliteStatsCache",
     "StatsCache",
-    "ThreadBackend",
     "backend_counters",
     "evaluation_key",
     "fingerprint_config",

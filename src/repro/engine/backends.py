@@ -11,17 +11,17 @@ execute (:meth:`ExecutorBackend.run_chunk`).
 
 * :class:`SerialBackend` — one slot, drained inline on the calling
   thread;
-* :class:`ThreadBackend` — one slot per worker thread.  Same-layer work
-  in a chunk executes as one numpy batch kernel (:func:`simulate_chunk`),
-  and numpy releases the GIL inside its array loops, so grouped chunks
-  genuinely overlap across threads; only singleton scalar simulations
-  still serialize on the GIL;
 * :class:`ProcessBackend` — one slot per pool process.  Controllers are
   pure functions of (config, params, layer, mapping) and every piece
   pickles cleanly, so workers rebuild the controller once per process,
   simulate their chunk (grouped through the same batch kernels), and
   ship ``(key, stats)`` pairs back for the parent to merge into its
   :class:`~repro.engine.cache.StatsCache`.
+
+Whatever a backend cannot ship elsewhere (a broken pool, an unreachable
+fleet) it runs inline through :meth:`ExecutorBackend.run_chunk`, the one
+local chunk path: same-layer items group into one batch-kernel call
+(:func:`simulate_chunk`).
 
 Backends receive work as ``(key, EvalRequest)`` pairs — ``key`` is the
 content-addressed cache key (``None`` when caching is off) — and return
@@ -32,6 +32,7 @@ cannot poison a generation of tuner proposals.
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -57,12 +58,6 @@ WorkItem = Tuple[Optional[Hashable], "EvalRequest"]  # noqa: F821
 WorkResult = Tuple[Optional[Hashable], object]
 
 
-def _default_workers(requested: Optional[int]) -> int:
-    if requested is not None and requested > 0:
-        return requested
-    return max(2, os.cpu_count() or 2)
-
-
 class ExecutorBackend:
     """How the engine executes cache-missing simulations.
 
@@ -78,7 +73,7 @@ class ExecutorBackend:
     #: Registry key; subclasses must override.
     name: ClassVar[str] = ""
 
-    def pull_slots(self, engine, max_workers: Optional[int] = None) -> List:
+    def pull_slots(self, engine) -> List:
         """Slot identities for the pull scheduler; never empty.
 
         Each slot is an opaque token naming one concurrent execution
@@ -97,14 +92,12 @@ class ExecutorBackend:
         :meth:`pull_slots` — implementations must be thread-safe across
         distinct slots.  The default runs inline (the puller thread *is*
         the lane), grouping the chunk's same-layer items through the
-        controller's batch kernels (:func:`simulate_chunk`).
+        controller's batch kernels (:func:`simulate_chunk`); every
+        backend's local fallback is this method.
         """
-        local = getattr(engine, "_local_controller", None)
-        if local is None:  # duck-typed engines without the controller seam
-            return [_simulate_item(engine, item) for item in items]
         pairs = [(request.layer, request.mapping) for _, request in items]
         payloads = simulate_chunk(
-            local(), pairs, getattr(engine, "functional", False)
+            engine._local_controller(), pairs, engine.functional
         )
         return [(key, payload) for (key, _), payload in zip(items, payloads)]
 
@@ -259,46 +252,16 @@ def simulate_chunk(controller, pairs, functional: bool) -> List:
     return results
 
 
-def _simulate_item(engine, item: WorkItem) -> WorkResult:
-    """Run one simulation in the calling thread, capturing errors."""
-    key, request = item
-    try:
-        return key, engine._simulate(request.layer, request.mapping)
-    except Exception as exc:  # per-item isolation, re-raised by callers
-        return key, exc
-
-
 class SerialBackend(ExecutorBackend):
     """Inline execution — the baseline every other backend must beat.
 
     One slot, drained on the calling thread, so each engine group runs
     as one chunk and same-layer work still collapses into batch-kernel
     calls: the serial default benefits from vectorization exactly like
-    the parallel backends.
+    the pooled backends.
     """
 
     name = "serial"
-
-
-class ThreadBackend(ExecutorBackend):
-    """Thread-parallel execution: one scheduler puller thread per slot.
-
-    Each puller lazily builds its own controller through the engine
-    (cycle-model tallies must not race).  Historically this backend
-    "helped little" — not because of anything subtle, but because the
-    cycle models were pure Python and therefore fully GIL-bound.  With
-    chunks grouped into numpy batch kernels (:func:`simulate_chunk`) the
-    array math releases the GIL, so thread runs now overlap for real;
-    see ``benchmarks/bench_scheduler.py`` for the measured scenario.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def pull_slots(self, engine, max_workers=None):
-        return list(range(_default_workers(max_workers or self.max_workers)))
 
 
 # ----------------------------------------------------------------------
@@ -336,22 +299,19 @@ def _process_chunk(spec: Tuple, chunk: List[Tuple]) -> List[Tuple]:
 class ProcessBackend(ExecutorBackend):
     """Process-pooled execution for CPU-bound sweeps.
 
-    Processes sidestep the GIL entirely, which made this the only real
-    fan-out for the historical pure-Python models; with chunks grouped
-    into numpy batch kernels the thread backend competes again, but
-    processes still win when chunks degenerate to singleton scalar
-    simulations.  Each pool process is one scheduler slot: it simulates
-    the chunks its puller ships with a per-process cached controller,
-    and the parent merges the returned ``(key, stats)`` pairs into its
-    cache.
+    The local way to spread simulations over cores: each pool process
+    is one scheduler slot, simulates the chunks its puller ships with a
+    per-process cached controller, and the parent merges the returned
+    ``(key, stats)`` pairs into its cache.  ``max_workers`` is the pool
+    width (default: the core count, at least two).
 
-    The pool is created lazily by the first :meth:`pull_slots` asking
-    for two or more slots, reused across runs (spawn cost is paid once
-    per backend), recreated when the requested width changes, and
-    released by :meth:`close`.  A width of one runs inline.  When a pool
-    process dies, the broken pool is discarded, the chunks that hit it
-    run inline on their pullers, and the next :meth:`pull_slots` builds
-    a fresh pool — so a long-lived engine outlives a killed worker.
+    The pool is created lazily by the first :meth:`pull_slots`, reused
+    across runs (spawn cost is paid once per backend) and released by
+    :meth:`close`.  A width of one starts no pool and runs inline.  When
+    a pool process dies, the broken pool is discarded, the chunks that
+    hit it run inline on their pullers, and the next :meth:`pull_slots`
+    builds a fresh pool — so a long-lived engine outlives a killed
+    worker.
     """
 
     name = "process"
@@ -359,21 +319,14 @@ class ProcessBackend(ExecutorBackend):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
         self._pool = None
-        self._pool_width = 0
         self._pool_lock = threading.Lock()
 
-    def _ensure_pool(self, workers: int):
-        if self._pool is None or self._pool_width != workers:
-            self.close()
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-            self._pool_width = workers
-        return self._pool
-
-    def pull_slots(self, engine, max_workers=None):
-        workers = _default_workers(max_workers or self.max_workers)
+    def pull_slots(self, engine):
+        workers = self.max_workers or max(2, os.cpu_count() or 2)
         if workers <= 1:
             return [0]
-        self._ensure_pool(workers)
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=workers)
         return list(range(workers))
 
     def run_chunk(self, engine, items, slot=None):
@@ -407,14 +360,12 @@ class ProcessBackend(ExecutorBackend):
             if self._pool is not pool:
                 return
             self._pool = None
-            self._pool_width = 0
         pool.shutdown(wait=True)
 
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-            self._pool_width = 0
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +403,7 @@ def unregister_backend(name: str) -> None:
 
 
 def _ensure_builtin_backends() -> None:
-    for cls in (SerialBackend, ThreadBackend, ProcessBackend):
+    for cls in (SerialBackend, ProcessBackend):
         _REGISTRY.setdefault(cls.name, cls)
     # The remote backend lives in repro.fleet (it drags in the wire
     # protocol); importing it registers it, making "remote" a first-class
@@ -482,18 +433,16 @@ def make_backend(
 ) -> ExecutorBackend:
     """Resolve a backend name (or pass an instance through).
 
-    ``None`` resolves to :class:`ThreadBackend` when ``max_workers``
-    asks for parallelism and :class:`SerialBackend` otherwise.
+    ``None`` resolves to :class:`SerialBackend`.  ``max_workers`` is the
+    pool width, handed to backends whose constructor takes one (the
+    process pool); backends without a pool ignore it.
     """
     if isinstance(executor, ExecutorBackend):
         return executor
-    if executor is None:
-        executor = "thread" if max_workers is not None and max_workers > 1 else "serial"
-    cls = backend_class(executor)
-    try:
+    cls = backend_class(executor or "serial")
+    if "max_workers" in inspect.signature(cls).parameters:
         return cls(max_workers=max_workers)
-    except TypeError:  # backends without pools take no width argument
-        return cls()
+    return cls()
 
 
 def registered_backends() -> List[str]:

@@ -16,12 +16,12 @@ overview.  The key design points:
 * **Pluggable batching.**  ``evaluate_many`` splits a batch into cache
   hits and misses and hands the misses to the pull scheduler
   (:mod:`repro.engine.scheduler`), which runs them on an executor
-  backend (:mod:`repro.engine.backends`): serial, threads, processes
-  or a fleet.  Batch-internal duplicates simulate once.  Puller
-  threads lazily build their own controller (controllers keep internal
-  tallies, e.g. the accumulation buffer's write counters, which must
-  not race); worker processes return ``(key, stats)`` pairs that merge
-  into the parent cache.
+  backend (:mod:`repro.engine.backends`): serial, processes or a
+  fleet.  Batch-internal duplicates simulate once.  Puller threads
+  that run chunks inline lazily build their own controller
+  (controllers keep internal tallies, e.g. the accumulation buffer's
+  write counters, which must not race); worker processes return
+  ``(key, stats)`` pairs that merge into the parent cache.
 """
 
 from __future__ import annotations
@@ -250,14 +250,14 @@ class EvaluationEngine:
         executor: The backend every cache miss runs on, fixed for the
             engine's lifetime: a name from
             :func:`repro.engine.backends.registered_backends`
-            ("serial"/"thread"/"process"/"remote") or an
+            ("serial"/"process"/"remote") or an
             :class:`~repro.engine.backends.ExecutorBackend` instance.
-            ``None`` picks threads when ``max_workers`` is above 1 and
-            serial otherwise (:func:`~repro.engine.backends.make_backend`).
-        max_workers: Pool width of the backend: the number of slots
-            that pull chunks from the scheduler's queue
-            (:mod:`repro.engine.scheduler`).  Chunk size follows from
-            the batch and slot count.
+            ``None`` means serial.
+        max_workers: Pool width handed to a backend built here by name
+            (:func:`~repro.engine.backends.make_backend`); the width
+            then lives on the backend, which offers that many slots to
+            the scheduler (:mod:`repro.engine.scheduler`).  Ignored for
+            a backend instance and for backends without a pool.
     """
 
     def __init__(
@@ -275,7 +275,6 @@ class EvaluationEngine:
         self.cache = cache if cache is not None else StatsCache()
         self.cache_enabled = cache_enabled
         self.functional = functional
-        self.max_workers = max_workers
         self.backend: ExecutorBackend = make_backend(executor, max_workers)
         self.controller: AcceleratorController = make_controller(config, params)
         self.num_evaluations = 0
@@ -365,9 +364,6 @@ class EvaluationEngine:
             self.num_simulations += 1
         self.cache.put(key, stats)
         return stats
-
-    def evaluate_request(self, request: EvalRequest) -> SimulationStats:
-        return self.evaluate(request.layer, request.mapping)
 
     def plan_many(
         self, requests: Iterable[Union[EvalRequest, Layer]]
@@ -600,5 +596,5 @@ class EvaluationEngine:
         }
 
     def close(self) -> None:
-        """Release the backend's pools (worker threads/processes), if any."""
+        """Release the backend's pools (worker processes, fleet links)."""
         self.backend.close()

@@ -142,8 +142,7 @@ def run_plan_groups(
     chunked onto one queue per backend and drained by one puller per
     slot the backend advertises.  Groups run on their engine's
     ``backend``; groups whose engines share one backend instance share
-    one queue, and the first such engine's ``max_workers`` applies to
-    it.
+    one queue, drained on as many slots as that backend offers.
 
     Returns the scheduler counter report for this invocation, summed
     over backends.  Errors obey ``return_errors`` exactly like
@@ -172,11 +171,8 @@ def run_plan_groups(
 
     report = zero_counters()
     for backend, entries in by_backend.values():
-        lead_engine = entries[0][0]
         pulled = _run_scheduled(
-            entries,
-            backend,
-            backend.pull_slots(lead_engine, max_workers=lead_engine.max_workers),
+            entries, backend, backend.pull_slots(entries[0][0])
         )
         backend.metrics.counter(
             SCHEDULER_METRIC_PREFIX + "chunks_pulled"

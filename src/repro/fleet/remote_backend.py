@@ -20,7 +20,11 @@ Execution model:
 * when no worker is reachable — or the engine is not remotable (mock
   configs) — the backend offers one fallback slot whose chunks run
   inline, so ``--executor remote`` degrades to ``--executor serial``
-  instead of failing a run.
+  instead of failing a run.  Every inline fallback (no worker, a
+  non-remotable engine, a chunk no worker answered, items a worker
+  dropped) runs the local chunk path,
+  :meth:`~repro.engine.backends.ExecutorBackend.run_chunk`, so
+  same-layer items still batch.
 
 Per-item errors (invalid mappings and friends) are captured exception
 entries, exactly like every other backend; worker-side
@@ -34,13 +38,12 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.engine.backends import (
     ExecutorBackend,
     WorkItem,
     WorkResult,
-    _simulate_item,
     register_backend,
 )
 from repro.fleet import protocol
@@ -210,10 +213,8 @@ class RemoteBackend(ExecutorBackend):
         workers: ``host:port`` addresses.  When omitted, resolved from
             the :data:`WORKERS_ENV` environment variable at run time, so
             a sweep script can be pointed at a fleet without code
-            changes.
-        max_workers: Accepted for registry-constructor uniformity;
-            parallelism is one scheduler slot per capacity unit of each
-            reachable worker.
+            changes.  Parallelism is one scheduler slot per capacity
+            unit of each reachable worker.
         shard_timeout: Seconds to wait for one chunk's results before
             declaring the connection dead (the ``fleet.shard_timeout``
             knob); defaults to :data:`BATCH_TIMEOUT_S`.  It abandons a
@@ -226,14 +227,12 @@ class RemoteBackend(ExecutorBackend):
     def __init__(
         self,
         workers: Union[Sequence[str], str, None] = None,
-        max_workers: Optional[int] = None,
         shard_timeout: Optional[float] = None,
         secret: Optional[str] = None,
     ) -> None:
         if isinstance(workers, str):
             workers = [part.strip() for part in workers.split(",") if part.strip()]
         self._configured = list(workers) if workers else None
-        self.max_workers = max_workers
         self.shard_timeout = shard_timeout
         self.secret = secret or None
         self._links: Dict[str, _WorkerLink] = {}
@@ -267,7 +266,7 @@ class RemoteBackend(ExecutorBackend):
         return capacities
 
     # ------------------------------------------------------------------
-    def pull_slots(self, engine, max_workers=None):
+    def pull_slots(self, engine):
         """One scheduler slot per advertised capacity unit per reachable
         worker — ``(address, unit)`` tokens.  A single fallback slot when
         the engine is not remotable or no worker answers: its chunks
@@ -290,9 +289,9 @@ class RemoteBackend(ExecutorBackend):
     def run_chunk(self, engine, items, slot=None):
         """Execute one scheduler chunk on the slot's worker.
 
-        Retries on survivors, then falls back to inline serial
-        execution, so a worker crash mid-chunk costs one round trip.
-        The fallback slot prefers the first configured worker.
+        Retries on survivors, then falls back to the inline chunk path,
+        so a worker crash mid-chunk costs one round trip.  The fallback
+        slot prefers the first configured worker.
         """
         addresses = self._addresses()
         try:
@@ -301,34 +300,29 @@ class RemoteBackend(ExecutorBackend):
             spec = None
         if not addresses or spec is None:
             self.fallback_batches += 1
-            return [_simulate_item(engine, item) for item in items]
-        indexed = [
-            (position, key, request.layer, request.mapping)
-            for position, (key, request) in enumerate(items)
-        ]
+            return super().run_chunk(engine, items, slot)
         preferred = slot[0] if isinstance(slot, tuple) else addresses[0]
-        results: List[Optional[WorkResult]] = [None] * len(items)
-        for position, result in self._run_shard(
-            engine, spec, indexed, preferred=preferred, all_addresses=addresses
-        ):
-            results[position] = result
-        return results  # type: ignore[return-value]
+        return self._run_shard(
+            engine, spec, items, preferred=preferred, all_addresses=addresses
+        )
 
     # ------------------------------------------------------------------
     def _run_shard(
         self,
         engine,
         spec: dict,
-        shard: List[Tuple],
+        items: Sequence[WorkItem],
         preferred: str,
         all_addresses: List[str],
-    ) -> List[Tuple[int, WorkResult]]:
+    ) -> List[WorkResult]:
         """Execute one chunk: preferred worker, then survivors, then inline.
 
-        Returns (position, (key, stats-or-exception)) pairs.
+        Returns ``(key, stats-or-exception)`` pairs in submission order.
         """
-        by_pos = {position: (key, layer, mapping)
-                  for position, key, layer, mapping in shard}
+        shard = [
+            (position, key, request.layer, request.mapping)
+            for position, (key, request) in enumerate(items)
+        ]
         candidates = [preferred] + [a for a in all_addresses if a != preferred]
         message = protocol.evaluate_batch_message(spec, shard)
         registry = self.metrics
@@ -355,12 +349,12 @@ class RemoteBackend(ExecutorBackend):
                 registry.counter(f"fleet.shards.{address}").inc()
                 registry.counter(f"fleet.items.{address}").inc(len(shard))
                 self._record_worker_timing(address, response, registry)
-                return self._decode_results(engine, response, by_pos)
+                return self._decode_results(engine, response, items)
             span.set(fallback=True)
-        # No worker produced results: inline serial fallback.
+        # No worker produced results: run the chunk inline.
         self.fallback_batches += 1
         registry.counter("fleet.fallback_batches").inc()
-        return _simulate_inline(engine, by_pos, sorted(by_pos))
+        return super().run_chunk(engine, items)
 
     def _record_worker_timing(self, address, response, registry) -> None:
         """Absorb a worker's self-reported ``timing`` (optional key).
@@ -393,34 +387,37 @@ class RemoteBackend(ExecutorBackend):
                 attrs=dict(timing, address=address),
             )
 
-    @staticmethod
-    def _decode_results(engine, response: dict, by_pos: dict):
+    def _decode_results(
+        self, engine, response: dict, items: Sequence[WorkItem]
+    ) -> List[WorkResult]:
         from repro.stonne.stats import SimulationStats
 
-        out: List[Tuple[int, WorkResult]] = []
-        seen = set()
+        decoded: Dict[int, WorkResult] = {}
         for entry in response.get("items", []):
             position = entry.get("pos")
-            if position not in by_pos or position in seen:
+            if (
+                not isinstance(position, int)
+                or not 0 <= position < len(items)
+                or position in decoded
+            ):
                 continue  # unknown or duplicate position: ignore
-            key = by_pos[position][0]
+            key = items[position][0]
             if "stats" in entry:
                 try:
-                    stats = SimulationStats.from_dict(entry["stats"])
+                    payload = SimulationStats.from_dict(entry["stats"])
                 except (KeyError, TypeError, ValueError):
                     continue  # undecodable entry: leave it for the
                     # inline remainder pass below (skewed peer)
-                seen.add(position)
-                out.append((position, (key, stats)))
             else:
-                seen.add(position)
-                out.append(
-                    (position, (key, protocol.exception_from_wire(entry)))
-                )
+                payload = protocol.exception_from_wire(entry)
+            decoded[position] = (key, payload)
         # A worker that dropped items (foreign/buggy peer) still owes the
-        # engine answers: simulate the remainder inline.
-        out.extend(_simulate_inline(engine, by_pos, sorted(set(by_pos) - seen)))
-        return out
+        # engine answers: run the remainder through the inline chunk path.
+        missing = [p for p in range(len(items)) if p not in decoded]
+        if missing:
+            remainder = super().run_chunk(engine, [items[p] for p in missing])
+            decoded.update(zip(missing, remainder))
+        return [decoded[position] for position in range(len(items))]
 
     # ------------------------------------------------------------------
     def ping(self) -> Dict[str, bool]:
@@ -447,7 +444,6 @@ class RemoteBackend(ExecutorBackend):
 def resolve_executor(
     executor,
     workers: Union[Sequence[str], str, None] = None,
-    max_workers: Optional[int] = None,
     shard_timeout: Optional[float] = None,
     secret: Optional[str] = None,
 ):
@@ -460,26 +456,6 @@ def resolve_executor(
     """
     if workers and executor in (None, "remote"):
         return RemoteBackend(
-            workers=workers,
-            max_workers=max_workers,
-            shard_timeout=shard_timeout,
-            secret=secret,
+            workers=workers, shard_timeout=shard_timeout, secret=secret
         )
     return executor
-
-
-def _simulate_inline(
-    engine, by_pos: dict, positions: Sequence[int]
-) -> List[Tuple[int, WorkResult]]:
-    """Simulate ``positions`` of a chunk in the calling thread."""
-    # Imported here: repro.engine imports this module while it is still
-    # initialising, before EvalRequest exists.
-    from repro.engine import EvalRequest
-
-    out: List[Tuple[int, WorkResult]] = []
-    for position in positions:
-        key, layer, mapping = by_pos[position]
-        out.append(
-            (position, _simulate_item(engine, (key, EvalRequest(layer, mapping))))
-        )
-    return out

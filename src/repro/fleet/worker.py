@@ -1,7 +1,7 @@
 """The fleet worker daemon: a TCP service that executes simulation batches.
 
 One worker process serves many client connections (one handler thread
-per connection, the same accept model as the engine's thread backend).
+per connection).
 Per connection the dialogue is: worker sends ``hello`` (protocol
 version + the controller types it can rebuild), then loops serving
 ``evaluate_batch`` requests and ``ping`` heartbeats until the client

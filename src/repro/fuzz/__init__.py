@@ -14,7 +14,7 @@ This module generates adversarial workloads and *checks the guarantee*:
    :class:`~repro.sweep.SweepPlan` whose models are registered in the
    zoo, so nothing downstream knows it is fuzz.
 2. :func:`cross_check` — executes the same plan once per executor
-   backend (serial/thread/process, remote when workers are configured)
+   backend (serial/process, remote when workers are configured)
    in fresh sessions (separate caches, so a shared cache can never mask
    a divergence) and compares per-scenario digests of the full
    simulation stats.
@@ -43,7 +43,7 @@ from repro.zoo import register_model, zoo_layers
 
 #: Executor backends a cross-check covers by default (remote is added
 #: when the base config names fleet workers).
-DEFAULT_EXECUTORS = ("serial", "thread", "process")
+DEFAULT_EXECUTORS = ("serial", "process")
 
 #: Curated zoo models the first scenarios of every fuzz batch cover, so
 #: modern workloads (transformer, depthwise, dilated, grouped, NHWC) are

@@ -137,18 +137,11 @@ class ArchitectureConfig:
         default=16,
         metadata=_meta(kind="int", help="reduction network bandwidth"),
     )
-    sparsity: int = field(
-        default=0,
-        metadata=_meta(kind="int",
-                       help="weight sparsity percentage (SIGMA/MAGMA)"),
-    )
     sparsity_ratio: float = field(
         default=0.0,
         metadata=_meta(key="sparsity_ratio", kind="float",
                        help="weight sparsity as a ratio in [0, 1) "
-                            "(SIGMA/MAGMA); a non-zero value takes "
-                            "precedence over the percentage form and is "
-                            "the spelling sweep axes use "
+                            "(SIGMA/MAGMA), also as a sweep axis "
                             "(--axis architecture.sparsity_ratio=0,0.5,0.9)"),
     )
 
@@ -156,11 +149,6 @@ class ArchitectureConfig:
         if self.arch not in ARCHITECTURES:
             raise ConfigError(
                 f"arch must be one of {ARCHITECTURES}, got {self.arch!r}"
-            )
-        if not 0 <= self.sparsity <= 100:
-            raise ConfigError(
-                f"sparsity must be a percentage in [0, 100], "
-                f"got {self.sparsity}"
             )
         if not 0.0 <= self.sparsity_ratio < 1.0:
             raise ConfigError(
@@ -177,14 +165,14 @@ class EngineConfig:
         default=None,
         metadata=_meta(kind="optstr", choices=_registered_backends,
                        help="executor backend for batched evaluations: "
-                            "serial (inline), thread (GIL-bound pool), "
-                            "process (parallel worker processes), or "
-                            "remote (shard across fleet workers)"),
+                            "serial (inline, the default), process "
+                            "(parallel worker processes), or remote "
+                            "(shard across fleet workers)"),
     )
     max_workers: Optional[int] = field(
         default=None,
         metadata=_meta(kind="optint",
-                       help="pool width for the thread/process backends"),
+                       help="pool width of the process backend"),
     )
     functional: bool = field(
         default=False,
@@ -747,13 +735,8 @@ class SessionConfig:
 
         arch = Architecture()
         a = self.architecture
-        # The ratio spelling (sweep-axis friendly) wins over the legacy
-        # percentage when set; both resolve to the same percent knob.
-        sparsity = (
-            int(round(a.sparsity_ratio * 100))
-            if a.sparsity_ratio > 0
-            else a.sparsity
-        )
+        # The controllers take an integer percentage.
+        sparsity = int(round(a.sparsity_ratio * 100))
         if a.arch == "maeri":
             arch.maeri()
         elif a.arch == "sigma":
@@ -918,10 +901,13 @@ def add_config_arguments(parser) -> None:
     projection of :class:`SessionConfig` — there is no second list of
     flags to keep in sync.  Defaults are ``argparse.SUPPRESS`` so only
     flags the user actually passed enter the CLI layer (which is what
-    lets file/env values show through unless overridden).
+    lets file/env values show through unless overridden).  Flags are
+    never abbreviated, so a retired flag (``--sparsity``) is an error
+    instead of a prefix of a live one (``--sparsity-ratio``).
     """
     import argparse
 
+    parser.allow_abbrev = False
     parser.add_argument(
         "--config", metavar="PATH", default=None,
         help="layered config file (TOML, or .json); flags given on the "

@@ -28,7 +28,7 @@ Graph workloads go through the same object::
         report = s.run_graph(graph, {"data": x}) # raw IR graph
 
 Teardown is guaranteed: ``close()`` (or leaving the ``with`` block)
-drains executor pools (thread/process workers), disconnects fleet
+drains the process pool, disconnects fleet
 workers, closes SQLite connections and JSONL spills, and uninstalls
 packed functions, so nothing a session built outlives it.
 """
@@ -165,7 +165,6 @@ class Session:
             executor = resolve_executor(
                 config.engine.executor,
                 workers or None,
-                config.engine.max_workers,
                 shard_timeout=config.fleet.shard_timeout,
                 secret=config.fleet.secret,
             )
@@ -237,7 +236,7 @@ class Session:
         """Deterministic teardown (idempotent).
 
         Uninstalls packed functions if installed, drains the engine's
-        executor pools (thread/process workers, fleet connections),
+        executor resources (process pool, fleet connections),
         closes persistent cache tiers (SQLite connections, JSONL
         spills), and reaps any worker daemons ``fleet.autostart``
         spawned — no lingering processes survive a closed session.

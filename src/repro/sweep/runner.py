@@ -118,7 +118,6 @@ class SweepRunner:
             session.params,
             cache=session.engine.cache,
             executor=session.engine.backend,
-            max_workers=session.config.engine.max_workers,
             functional=config.engine.functional,
         )
         # Same hardware as an earlier section: share its engine (and key

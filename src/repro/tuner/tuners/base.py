@@ -95,7 +95,7 @@ class Tuner:
                 continue
             # The whole generation is measured in one batch, so the
             # task can submit it to the engine's executor backend
-            # (threads/processes) instead of one trial at a time.
+            # (process pool, fleet) instead of one trial at a time.
             results = self.task.measure_batch(indices)
             costs: List[float] = []
             measured: List[int] = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bifrost.strategies import uninstall_session
+from repro.engine import ExecutorBackend, register_backend, unregister_backend
 from repro.stonne.config import maeri_config, sigma_config, tpu_config
 from repro.stonne.layer import ConvLayer, FcLayer
 
@@ -49,3 +50,25 @@ def _isolate_stonne_target():
     uninstall_session()
     yield
     uninstall_session()
+
+
+class MultiSlotBackend(ExecutorBackend):
+    """A test-only backend offering ``max_workers`` slots (default 2)
+    whose chunks run through the inline chunk path: the scheduler's
+    puller threads are the lanes.  Exercises multi-slot pulling without
+    paying for a process pool."""
+
+    def __init__(self, max_workers=None):
+        self.max_workers = max_workers
+
+    def pull_slots(self, engine):
+        return list(range(self.max_workers or 2))
+
+
+@pytest.fixture
+def multi_slot():
+    """:class:`MultiSlotBackend`, registered as ``"multi-slot"`` for the
+    test so configs and sessions can name it."""
+    register_backend("multi-slot")(MultiSlotBackend)
+    yield MultiSlotBackend
+    unregister_backend("multi-slot")

@@ -16,7 +16,6 @@ from repro.engine import (
     ProcessBackend,
     SerialBackend,
     StatsCache,
-    ThreadBackend,
     make_backend,
     register_backend,
     registered_backends,
@@ -46,22 +45,26 @@ def _requests():
 
 class TestBackendRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "thread", "process"} <= set(registered_backends())
+        assert {"serial", "process"} <= set(registered_backends())
+        assert "thread" not in registered_backends()
 
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", max_workers=2), ThreadBackend)
         assert isinstance(make_backend("process"), ProcessBackend)
+        assert make_backend("process", max_workers=3).max_workers == 3
+        with pytest.raises(ConfigError, match="no executor backend"):
+            make_backend("thread", max_workers=2)
 
     def test_make_backend_passthrough(self):
         backend = SerialBackend()
         assert make_backend(backend) is backend
 
     def test_default_resolution_mirrors_history(self):
-        """None -> serial, unless max_workers asks for parallelism."""
+        """None -> serial, whatever the pool width."""
         assert isinstance(make_backend(None), SerialBackend)
         assert isinstance(make_backend(None, max_workers=1), SerialBackend)
-        assert isinstance(make_backend(None, max_workers=4), ThreadBackend)
+        assert isinstance(make_backend(None, max_workers=4), SerialBackend)
+        assert isinstance(make_backend("serial", max_workers=4), SerialBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="no executor backend"):
@@ -81,7 +84,7 @@ class TestBackendRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ConfigError, match="already registered"):
-            register_backend("serial")(ThreadBackend)
+            register_backend("serial")(ProcessBackend)
 
     def test_alias_registration_keeps_original_name(self):
         """Registering a built-in under a second name must not corrupt
@@ -97,20 +100,20 @@ class TestBackendRegistry:
 class TestBackendParity:
     """Identical stats regardless of how the batch is executed."""
 
-    def test_serial_thread_process_agree(self, maeri128):
+    def test_serial_process_multi_slot_agree(self, maeri128, multi_slot):
         reqs = _requests()
         serial = EvaluationEngine(maeri128, executor="serial").evaluate_many(reqs)
-        thread_engine = EvaluationEngine(
-            maeri128, executor="thread", max_workers=4
+        slots_engine = EvaluationEngine(
+            maeri128, executor=multi_slot(max_workers=4)
         )
         process_engine = EvaluationEngine(
             maeri128, executor="process", max_workers=2
         )
         try:
-            assert thread_engine.evaluate_many(reqs) == serial
+            assert slots_engine.evaluate_many(reqs) == serial
             assert process_engine.evaluate_many(reqs) == serial
         finally:
-            thread_engine.close()
+            slots_engine.close()
             process_engine.close()
 
     def test_process_backend_counts_simulations(self, maeri128):
@@ -452,7 +455,7 @@ class TestCliEngineFlags:
         from repro.cli import main
 
         path = tmp_path / "cli.jsonl"
-        argv = ["run", "lenet", "--executor", "thread",
+        argv = ["run", "lenet", "--executor", "process", "--max-workers", "2",
                 "--cache-path", str(path)]
         assert main(argv) == 0
         first = capsys.readouterr().out

@@ -19,7 +19,8 @@ class TestRun:
         assert "conv1" in out and "fc3" in out and "total" in out
 
     def test_lenet_on_sigma_with_sparsity(self, capsys):
-        assert main(["run", "lenet", "--arch", "sigma", "--sparsity", "50"]) == 0
+        assert main(["run", "lenet", "--arch", "sigma",
+                     "--sparsity-ratio", "0.5"]) == 0
         assert "total" in capsys.readouterr().out
 
     def test_lenet_on_tpu(self, capsys):
@@ -38,6 +39,17 @@ class TestRun:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "resnet"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--executor", "thread"], ["--sparsity", "50"], ["--sparsity", "0"]],
+    )
+    def test_removed_flags_exit_2(self, flags, capsys):
+        # --sparsity must not abbreviate to --sparsity-ratio.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "lenet", *flags])
+        assert exc.value.code == 2
+        assert flags[1] in capsys.readouterr().err
 
 
 class TestTune:
@@ -73,7 +85,8 @@ class TestCompare:
 
 class TestMagmaSupport:
     def test_run_on_magma(self, capsys):
-        assert main(["run", "lenet", "--arch", "magma", "--sparsity", "75"]) == 0
+        assert main(["run", "lenet", "--arch", "magma",
+                     "--sparsity-ratio", "0.75"]) == 0
         assert "total" in capsys.readouterr().out
 
 
@@ -105,10 +118,11 @@ class TestLayeredConfig:
         import json
 
         assert main(["config", "show", "--json", "--arch", "sigma",
-                     "--sparsity", "25"]) == 0
+                     "--sparsity-ratio", "0.25"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["architecture"]["arch"] == "sigma"
-        assert data["architecture"]["sparsity"] == 25
+        assert data["architecture"]["sparsity_ratio"] == 0.25
+        assert "sparsity" not in data["architecture"]
 
     def test_config_show_text_is_toml(self, capsys):
         assert main(["config", "show"]) == 0

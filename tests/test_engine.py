@@ -134,10 +134,11 @@ class TestBatchEvaluation:
             for i in range(6)
         ] + [EvalRequest(FcLayer("f", in_features=32, out_features=16))]
         sequential = EvaluationEngine(maeri128).evaluate_many(requests)
+        # A pool width without an executor no longer picks a pool.
         engine = EvaluationEngine(maeri128, max_workers=4)
         try:
             parallel = engine.evaluate_many(requests)
-            assert engine.backend.name == "thread"
+            assert engine.backend.name == "serial"
         finally:
             engine.close()
         assert sequential == parallel

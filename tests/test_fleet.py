@@ -352,6 +352,92 @@ class TestFailover:
         assert backend.fallback_batches >= 1
         engine.close()
 
+    def test_unreachable_fleet_batches_a_tuner_generation(self, monkeypatch):
+        """The fallback slot runs the inline chunk path: one tuner
+        generation (many mappings of one layer) reaches the batch
+        kernels through one ``simulate_chunk`` call, never per-item
+        ``simulate_layer``, and its stats equal serial."""
+        from itertools import islice
+
+        import repro.engine.backends as backends_mod
+        from repro.tuner import MaeriConvTask
+
+        real_chunk = backends_mod.simulate_chunk
+        real_layer = backends_mod.simulate_layer
+        chunks, scalar = [], []
+
+        def recording_chunk(controller, pairs, functional):
+            payloads = real_chunk(controller, pairs, functional)
+            chunks.append([
+                p if isinstance(p, Exception) else p.to_dict()
+                for p in payloads
+            ])
+            return payloads
+
+        def recording_layer(controller, layer, mapping, functional):
+            scalar.append(layer.name)
+            return real_layer(controller, layer, mapping, functional)
+
+        monkeypatch.setattr(backends_mod, "simulate_chunk", recording_chunk)
+        monkeypatch.setattr(backends_mod, "simulate_layer", recording_layer)
+        layer = ConvLayer("gen.conv", C=16, H=14, W=14, K=16, R=3, S=3)
+
+        def one_generation(executor):
+            chunks.clear()
+            engine = EvaluationEngine(
+                CONFIG, cache=StatsCache(), executor=executor
+            )
+            task = MaeriConvTask(layer, CONFIG, objective="cycles", engine=engine)
+            generation = list(islice(task.space.valid_indices(), 24))
+            assert all(r.valid for r in task.measure_batch(generation))
+            engine.close()
+            return list(chunks)
+
+        serial = one_generation("serial")
+        backend = RemoteBackend(workers=["127.0.0.1:1"])
+        remote = one_generation(backend)
+        assert len(remote) == 1 and len(remote[0]) == 24
+        assert scalar == []
+        assert remote == serial
+        assert backend.fallback_batches == 1
+
+    def test_items_a_worker_dropped_run_as_one_inline_chunk(self, monkeypatch):
+        """A skewed peer's answer keeps only its well-formed entries;
+        every dropped, undecodable or out-of-range item runs through
+        one inline ``simulate_chunk`` call, in submission order."""
+        import repro.engine.backends as backends_mod
+
+        real_chunk = backends_mod.simulate_chunk
+        chunk_sizes = []
+
+        def recording_chunk(controller, pairs, functional):
+            chunk_sizes.append(len(pairs))
+            return real_chunk(controller, pairs, functional)
+
+        monkeypatch.setattr(backends_mod, "simulate_chunk", recording_chunk)
+        requests = _requests(4)
+        serial = EvaluationEngine(CONFIG, cache=StatsCache()).evaluate_many(
+            requests
+        )
+        chunk_sizes.clear()
+        items = [(f"k{i}", request) for i, request in enumerate(requests)]
+        response = {"type": "results", "items": [
+            {"pos": 0, "stats": serial[0].to_dict()},
+            {"pos": 0, "stats": serial[3].to_dict()},  # duplicate: ignored
+            {"pos": 1, "stats": {}},                   # undecodable
+            {"pos": 3, "error": "bad tile", "error_type": "MappingError"},
+            {"pos": 7, "stats": serial[0].to_dict()},  # unknown position
+            {"pos": "2", "stats": serial[2].to_dict()},  # not an index
+        ]}
+        engine = EvaluationEngine(CONFIG, cache=StatsCache())
+        decoded = RemoteBackend()._decode_results(engine, response, items)
+        assert [key for key, _ in decoded] == ["k0", "k1", "k2", "k3"]
+        assert [p.to_dict() for _, p in decoded[:3]] == (
+            _stats_dicts(serial[:3])
+        )
+        assert isinstance(decoded[3][1], MappingError)
+        assert chunk_sizes == [2]
+
     def test_no_workers_configured_falls_back(self, monkeypatch):
         monkeypatch.delenv("REPRO_FLEET_WORKERS", raising=False)
         backend = RemoteBackend()

@@ -20,7 +20,14 @@ from repro.stonne.layer import ConvLayer, FcLayer
 from repro.zoo import register_model, zoo_layers
 
 BASE = SessionConfig.resolve(env=False, max_workers=2)
-FAST = ("serial", "thread")  # enough executors to diverge, no pool spin-up
+# Enough executors to diverge, no pool spin-up (``multi-slot`` is the
+# test-local inline backend registered by the ``multi_slot`` fixture).
+FAST = ("serial", "multi-slot")
+
+
+@pytest.fixture(autouse=True)
+def _multi_slot(multi_slot):
+    yield
 
 
 class TestGeneratePlan:
@@ -105,7 +112,7 @@ class TestCrossCheck:
         victim = plan.scenarios[0].name
 
         def inject(executor, name, stats_dicts):
-            if executor == "thread" and name == victim:
+            if executor == "multi-slot" and name == victim:
                 stats_dicts = [dict(s) for s in stats_dicts]
                 stats_dicts[0]["cycles"] += 1
             return stats_dicts
@@ -148,7 +155,7 @@ class TestShrink:
         def inject(executor, name, stats_dicts):
             out = [dict(s) for s in stats_dicts]
             for stats in out:
-                if executor == "thread" and stats["layer_name"] == "faulty":
+                if executor == "multi-slot" and stats["layer_name"] == "faulty":
                     stats["cycles"] += 1
             return out
 

@@ -45,8 +45,8 @@ LOCAL_TIERS = {"session", "sweep", "engine", "scheduler", "cache"}
 # spans across real backends
 # ----------------------------------------------------------------------
 class TestSessionTracing:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_sweep_covers_every_local_tier(self, executor, traced):
+    @pytest.mark.parametrize("executor", ["multi-slot", "process"])
+    def test_sweep_covers_every_local_tier(self, executor, traced, multi_slot):
         with Session(executor=executor, max_workers=2) as session:
             plan = SweepPlan.matrix(session.config, models=["mlp", "lenet"])
             session.sweep(plan)
@@ -74,9 +74,9 @@ class TestSessionTracing:
         rows = sum(s["args"]["rows"] for s in writes)
         assert rows == report.counters["num_simulations"]
 
-    def test_session_owns_tracer_and_writes_file(self, tmp_path):
+    def test_session_owns_tracer_and_writes_file(self, tmp_path, multi_slot):
         path = tmp_path / "trace.json"
-        with Session(executor="thread", max_workers=2, trace=True,
+        with Session(executor="multi-slot", max_workers=2, trace=True,
                      trace_path=str(path)) as session:
             session.run("mlp")
             assert TRACER.enabled
@@ -206,8 +206,8 @@ class TestFleetTiming:
 # report metrics round-trips
 # ----------------------------------------------------------------------
 class TestReportMetrics:
-    def test_sweep_report_metrics_round_trip(self):
-        with Session(executor="thread", max_workers=2,
+    def test_sweep_report_metrics_round_trip(self, multi_slot):
+        with Session(executor="multi-slot", max_workers=2,
                      metrics=True) as session:
             plan = SweepPlan.matrix(session.config, models=["mlp"])
             report = session.sweep(plan)
@@ -229,11 +229,11 @@ class TestReportMetrics:
         assert "metrics" not in data
         assert RunReport.from_dict(data).metrics == {}
 
-    def test_scheduler_counters_via_registry(self):
+    def test_scheduler_counters_via_registry(self, multi_slot):
         # Satellite: the duck-typed scheduler_counters probing is gone;
         # backend_counters reads the metrics registry and keeps the
         # legacy dict shape.
-        with Session(executor="thread", max_workers=2) as session:
+        with Session(executor="multi-slot", max_workers=2) as session:
             plan = SweepPlan.matrix(session.config, models=["mlp", "lenet"])
             session.sweep(plan)
             counters = backend_counters(session.engine.backend)

@@ -5,9 +5,10 @@ Two layers of guarantees:
 * queue-level tests pin that every chunk runs exactly once, whichever
   puller takes it, and that chunks interleave across engine groups;
 * :func:`~repro.engine.scheduler.run_plan_groups` integration tests
-  prove the pull path bit-identical to the cycle models on the serial,
-  thread and process backends, including under an injected slow worker
-  and groups spread over several backends.
+  prove the pull path bit-identical to the cycle models on the serial
+  and process backends and on a multi-slot inline backend (the
+  ``multi_slot`` fixture), including under an injected slow slot and
+  groups spread over several backends.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 
 import repro.engine.backends as backends_mod
 from repro.engine import EvalRequest, EvaluationEngine, evaluation_key
-from repro.engine.backends import SerialBackend, ThreadBackend
+from repro.engine.backends import SerialBackend
 from repro.engine.scheduler import (
     Chunk,
     _auto_chunk_size,
@@ -49,7 +50,7 @@ def _layers(count, width=8):
 
 
 class TestWorkQueue:
-    def test_every_chunk_runs_exactly_once(self):
+    def test_every_chunk_runs_exactly_once(self, multi_slot):
         # More pullers than cores and a short switch interval: a chunk
         # popped twice (or lost) would show up in the per-item counts.
         layers = _layers(60)
@@ -61,14 +62,14 @@ class TestWorkQueue:
         runs = Counter()
         lock = threading.Lock()
 
-        class CountingBackend(ThreadBackend):
+        class CountingBackend(multi_slot):
             def run_chunk(self, engine, items, slot=None):
                 with lock:
                     runs.update(request.layer.name for _key, request in items)
                 return super().run_chunk(engine, items, slot)
 
         engine = EvaluationEngine(
-            config, executor=CountingBackend(max_workers=8), max_workers=8
+            config, executor=CountingBackend(max_workers=8)
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -105,11 +106,13 @@ class TestRunPlanGroups:
         stats = engine.evaluate_many([EvalRequest(l) for l in layers])
         return [s.to_dict() for s in stats]
 
-    def test_thread_pull_bit_identical_to_serial(self):
+    def test_thread_pull_bit_identical_to_serial(self, multi_slot):
+        # Four puller threads (the calling thread plus three) drain one
+        # multi-slot backend's queue.
         layers = _layers(10)
         config = sigma_config()
         expected = self._serial_reference(config, layers)
-        engine = EvaluationEngine(config, executor="thread", max_workers=4)
+        engine = EvaluationEngine(config, executor=multi_slot(max_workers=4))
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])])
         assert [s.to_dict() for s in plan.results] == expected
@@ -131,8 +134,8 @@ class TestRunPlanGroups:
         finally:
             engine.backend.close()
 
-    def test_engine_groups_share_one_queue(self):
-        backend = ThreadBackend(max_workers=4)
+    def test_engine_groups_share_one_queue(self, multi_slot):
+        backend = multi_slot(max_workers=4)
         config_a = sigma_config()
         config_b = sigma_config(ms_size=64)
         layers_a = _layers(5)
@@ -140,12 +143,8 @@ class TestRunPlanGroups:
         expected_a = self._serial_reference(config_a, layers_a)
         expected_b = self._serial_reference(config_b, layers_b)
         try:
-            engine_a = EvaluationEngine(
-                config_a, executor=backend, max_workers=4
-            )
-            engine_b = EvaluationEngine(
-                config_b, executor=backend, max_workers=4
-            )
+            engine_a = EvaluationEngine(config_a, executor=backend)
+            engine_b = EvaluationEngine(config_b, executor=backend)
             plan_a = engine_a.plan_many([EvalRequest(l) for l in layers_a])
             plan_b = engine_b.plan_many([EvalRequest(l) for l in layers_b])
             report = run_plan_groups(
@@ -166,7 +165,7 @@ class TestRunPlanGroups:
 
     @pytest.mark.parametrize(
         "executor,max_workers",
-        [("serial", None), ("thread", 1), ("process", 1)],
+        [("serial", None), (None, 4), ("process", 1)],
     )
     def test_serial_drains_on_the_calling_thread(
         self, monkeypatch, executor, max_workers
@@ -204,7 +203,9 @@ class TestRunPlanGroups:
         assert [s.to_dict() for s in plan.results] == expected
         assert engine.num_simulations == 4
 
-    def test_groups_on_distinct_backends_resolve_bit_identically(self):
+    def test_groups_on_distinct_backends_resolve_bit_identically(
+        self, multi_slot
+    ):
         config_a = sigma_config()
         config_b = sigma_config(ms_size=64)
         layers_a = _layers(5)
@@ -212,9 +213,9 @@ class TestRunPlanGroups:
         expected_a = self._serial_reference(config_a, layers_a)
         expected_b = self._serial_reference(config_b, layers_b)
         serial = SerialBackend()
-        threads = ThreadBackend(max_workers=2)
+        slots = multi_slot(max_workers=2)
         engine_a = EvaluationEngine(config_a, executor=serial)
-        engine_b = EvaluationEngine(config_b, executor=threads, max_workers=2)
+        engine_b = EvaluationEngine(config_b, executor=slots)
         engine_c = EvaluationEngine(config_b, executor=serial)
         plan_a = engine_a.plan_many([EvalRequest(l) for l in layers_a])
         plan_b = engine_b.plan_many([EvalRequest(l) for l in layers_b])
@@ -226,12 +227,12 @@ class TestRunPlanGroups:
         assert [s.to_dict() for s in plan_b.results] == expected_b
         assert [s.to_dict() for s in plan_c.results] == expected_b
         # The serial backend drained both of its groups as one chunk
-        # each; the thread backend chunked its group per item.
+        # each; the two-slot backend chunked its group per item.
         assert backend_counters(serial)["chunks_pulled"] == 2
-        assert backend_counters(threads)["chunks_pulled"] == 4
+        assert backend_counters(slots)["chunks_pulled"] == 4
         assert report["chunks_pulled"] == 6
 
-    def test_slow_worker_gets_its_tail_stolen(self, monkeypatch):
+    def test_slow_worker_gets_its_tail_stolen(self, monkeypatch, multi_slot):
         real = backends_mod.simulate_layer
         ran_on = {}
 
@@ -245,7 +246,7 @@ class TestRunPlanGroups:
         config = sigma_config()
         expected = self._serial_reference(config, layers)
         monkeypatch.setattr(backends_mod, "simulate_layer", slow_fc0)
-        engine = EvaluationEngine(config, executor="thread", max_workers=2)
+        engine = EvaluationEngine(config, executor=multi_slot(max_workers=2))
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         run_plan_groups([(engine, [plan])])
         # While one slot holds fc0 for 0.3 s the other drains the rest
@@ -256,7 +257,7 @@ class TestRunPlanGroups:
         assert [s.to_dict() for s in plan.results] == expected
         assert engine.num_simulations == 8
 
-    def test_error_isolation_matches_run_plans(self, monkeypatch):
+    def test_error_isolation_matches_run_plans(self, monkeypatch, multi_slot):
         real = backends_mod.simulate_layer
 
         def failing_fc3(controller, layer, mapping, functional):
@@ -267,7 +268,7 @@ class TestRunPlanGroups:
         layers = _layers(6)
         monkeypatch.setattr(backends_mod, "simulate_layer", failing_fc3)
         engine = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
+            sigma_config(), executor=multi_slot(max_workers=2)
         )
         plan = engine.plan_many([EvalRequest(l) for l in layers])
         report = run_plan_groups([(engine, [plan])], return_errors=True)
@@ -278,7 +279,7 @@ class TestRunPlanGroups:
         )
         # Without return_errors the first error propagates.
         engine_b = EvaluationEngine(
-            sigma_config(), executor="thread", max_workers=2
+            sigma_config(), executor=multi_slot(max_workers=2)
         )
         plan_b = engine_b.plan_many([EvalRequest(l) for l in layers])
         with pytest.raises(ValueError, match="injected failure"):

@@ -72,7 +72,7 @@ class TestResume:
             env=False,
             fleet_secret="s3cret",
             cache_path="elsewhere.sqlite",
-            executor="thread",
+            executor="process",
             workers="hostA:9461,hostB:9461",
             trace=True,
         )

@@ -269,8 +269,8 @@ class TestSessionConstruction:
 
     def test_overrides_on_config(self):
         cfg = SessionConfig.resolve(env=False, executor="serial")
-        with Session(cfg, max_workers=2, executor="thread") as s:
-            assert s.config.engine.executor == "thread"
+        with Session(cfg, max_workers=2, executor="process") as s:
+            assert s.config.engine.executor == "process"
             assert s.config.engine.max_workers == 2
 
     def test_corrections_surface(self):

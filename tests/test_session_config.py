@@ -66,10 +66,10 @@ class TestFileLayer:
         path = _write_toml(tmp_path, """
 [architecture]
 arch = "sigma"
-sparsity = 50
+sparsity_ratio = 0.5
 
 [engine]
-executor = "thread"
+executor = "process"
 max_workers = 3
 
 [cache]
@@ -78,8 +78,8 @@ max_rows = 1000
 """)
         cfg = SessionConfig.from_file(path)
         assert cfg.architecture.arch == "sigma"
-        assert cfg.architecture.sparsity == 50
-        assert cfg.engine.executor == "thread"
+        assert cfg.architecture.sparsity_ratio == 0.5
+        assert cfg.engine.executor == "process"
         assert cfg.engine.max_workers == 3
         assert cfg.cache.path == "stats.sqlite"
         assert cfg.cache.max_rows == 1000
@@ -128,6 +128,28 @@ class TestBadKeys:
         with pytest.raises(ConfigError, match="unknown config key"):
             SessionConfig.resolve(env=False, exector="serial")
 
+    def test_removed_sparsity_percentage_rejected(self, tmp_path):
+        # The ratio is the one spelling: kwargs and files name the
+        # percentage form as an unknown key; the env layer only reads
+        # known REPRO_* names, so REPRO_SPARSITY sets nothing.
+        with pytest.raises(ConfigError, match="unknown config key 'sparsity'"):
+            SessionConfig.resolve(env=False, sparsity=50)
+        path = _write_toml(tmp_path, "[architecture]\nsparsity = 50\n")
+        with pytest.raises(ConfigError, match="unknown key 'sparsity'"):
+            SessionConfig.from_file(path)
+        assert env_overrides({"REPRO_SPARSITY": "50"}) == {}
+        cfg = SessionConfig.resolve(env={"REPRO_SPARSITY": "50"})
+        assert cfg.architecture.sparsity_ratio == 0.0
+        assert not hasattr(cfg.architecture, "sparsity")
+
+    def test_removed_thread_executor_rejected(self, tmp_path):
+        path = _write_toml(tmp_path, "[engine]\nexecutor = \"thread\"\n")
+        with pytest.raises(ConfigError, match="executor must be one of") as exc:
+            SessionConfig.from_file(path)
+        assert "\n" not in str(exc.value)
+        with pytest.raises(ConfigError, match="got 'thread'"):
+            SessionConfig.resolve(env={"REPRO_EXECUTOR": "thread"})
+
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="executor must be one of"):
             SessionConfig.resolve(env=False, executor="bogus")
@@ -140,14 +162,14 @@ class TestBadKeys:
 class TestEnvLayer:
     def test_env_only(self):
         env = {
-            "REPRO_EXECUTOR": "thread",
+            "REPRO_EXECUTOR": "process",
             "REPRO_MAX_WORKERS": "5",
             "REPRO_CACHE_MAX_ROWS": "99",
             "REPRO_FUNCTIONAL": "true",
             "REPRO_FLEET_WORKERS": "a:1, b:2",
         }
         cfg = SessionConfig.from_env(env)
-        assert cfg.engine.executor == "thread"
+        assert cfg.engine.executor == "process"
         assert cfg.engine.max_workers == 5
         assert cfg.cache.max_rows == 99
         assert cfg.engine.functional is True
@@ -164,26 +186,26 @@ class TestPrecedence:
     def test_env_beats_file(self, tmp_path):
         path = _write_toml(tmp_path, "[engine]\nexecutor = 'serial'\n")
         cfg = SessionConfig.resolve(
-            file=path, env={"REPRO_EXECUTOR": "thread"}
+            file=path, env={"REPRO_EXECUTOR": "process"}
         )
-        assert cfg.engine.executor == "thread"
+        assert cfg.engine.executor == "process"
 
     def test_kwargs_beat_env_and_file(self, tmp_path):
         path = _write_toml(tmp_path, "[engine]\nexecutor = 'serial'\n")
         cfg = SessionConfig.resolve(
-            file=path, env={"REPRO_EXECUTOR": "thread"}, executor="process"
+            file=path, env={"REPRO_EXECUTOR": "process"}, executor="remote"
         )
-        assert cfg.engine.executor == "process"
+        assert cfg.engine.executor == "remote"
 
     def test_cli_beats_everything(self, tmp_path):
         path = _write_toml(tmp_path, "[engine]\nexecutor = 'serial'\n")
         cfg = SessionConfig.resolve(
             file=path,
-            env={"REPRO_EXECUTOR": "thread"},
-            cli={"executor": "remote"},
+            env={"REPRO_EXECUTOR": "remote"},
+            cli={"executor": "serial"},
             executor="process",
         )
-        assert cfg.engine.executor == "remote"
+        assert cfg.engine.executor == "serial"
 
     def test_full_stack_layering(self, tmp_path):
         # Each layer sets a different key; all must show through.
@@ -207,9 +229,9 @@ trials = 11
         assert cfg.tuning.objective == "cycles"    # cli
 
     def test_env_false_is_hermetic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
         assert SessionConfig.resolve(env=False).engine.executor is None
-        assert SessionConfig.resolve().engine.executor == "thread"
+        assert SessionConfig.resolve().engine.executor == "process"
 
 
 class TestRoundTrips:
@@ -226,7 +248,7 @@ class TestRoundTrips:
 
     def test_toml_round_trip(self, tmp_path):
         cfg = SessionConfig.resolve(
-            env=False, executor="thread", max_workers=4,
+            env=False, executor="process", max_workers=4,
             cache_path="s.sqlite", workers="h:1",
         )
         path = _write_toml(tmp_path, cfg.to_toml(), "rt.toml")

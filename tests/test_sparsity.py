@@ -105,12 +105,22 @@ class TestSparsityRatioAxis:
         sim_config, _ = config.build_simulator_config()
         assert sim_config.sparsity_ratio == 50
 
-    def test_zero_ratio_defers_to_the_legacy_percent_field(self):
+    def test_zero_ratio_axis_point_is_dense(self):
+        """An axis point of 0.0 over a sparse base config is the dense
+        design: the ratio is the only sparsity knob, so nothing else
+        can stand in for the zero."""
         config = SessionConfig.resolve(
-            env=False, arch="sigma", sparsity=30, sparsity_ratio=0.0
+            env=False, arch="sigma", sparsity_ratio=0.5
         )
-        sim_config, _ = config.build_simulator_config()
-        assert sim_config.sparsity_ratio == 30
+        plan = SweepPlan.matrix(
+            config, models=["alexnet"], axes={"sparsity_ratio": [0.0, 0.5]}
+        )
+        with Session(config) as session:
+            report = session.sweep(plan)
+        (dense,) = report.filter(sparsity_ratio=0.0)
+        (sparse,) = report.filter(sparsity_ratio=0.5)
+        assert dense.metric("total_cycles") == 7_366_350
+        assert sparse.metric("total_cycles") == 4_151_703
 
     def test_axis_coerces_through_config_rules(self):
         config = SessionConfig.resolve(env=False, arch="sigma")
