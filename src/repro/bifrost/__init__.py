@@ -13,58 +13,37 @@ The names below are the paper's layer: the packed-func endpoint
 (:class:`StonneBifrostApi`), the mapping configurator and the Listing-1
 runners, which take a :class:`~repro.session.Session` (or its ``.api``)
 and execute on that session's engine.
+
+Names other than ``Architecture``/``architecture`` load lazily: each
+submodule is imported on the first lookup of a name it defines
+(:func:`repro._lazy.lazy_exports`).  The graph runner and the TOPI
+strategies pull in numpy, the IR and the runtime; mapping resolution,
+reporting and the hardware configurator do not, so a command that only
+resolves mappings and reads statistics never loads the functional
+stack.
 """
 
-from repro.bifrost.api import (
-    StonneBifrostApi,
-    get_packed_func,
-    register_packed_funcs,
-    registered_packed_funcs,
-)
+# ``architecture`` names both a submodule and the Listing-1 object it
+# defines.  Bound eagerly, the object stays the package attribute even
+# after an ``import repro.bifrost.architecture`` elsewhere (a lazy name
+# would lose to the submodule the import system binds); it needs no numpy.
 from repro.bifrost.architecture import Architecture, architecture
-from repro.bifrost.configurator import SimulatorConfigurator
-from repro.bifrost.mapping_config import MappingConfigurator, MappingStrategy
-from repro.bifrost.reporting import (
-    FEATURE_MATRIX,
-    LayerComparison,
-    comparison_table,
-    feature_table,
-    stats_table,
-    stats_to_json,
-)
-from repro.bifrost.runner import (
-    BifrostRunResult,
-    run_graph,
-    run_layers,
-    run_torch_stonne,
-)
-from repro.bifrost.strategies import (
-    active_session,
-    install_session,
-    uninstall_session,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Architecture",
-    "BifrostRunResult",
-    "FEATURE_MATRIX",
-    "LayerComparison",
-    "MappingConfigurator",
-    "MappingStrategy",
-    "SimulatorConfigurator",
-    "StonneBifrostApi",
-    "active_session",
-    "architecture",
-    "comparison_table",
-    "feature_table",
-    "get_packed_func",
-    "install_session",
-    "register_packed_funcs",
-    "registered_packed_funcs",
-    "run_graph",
-    "run_layers",
-    "run_torch_stonne",
-    "stats_table",
-    "stats_to_json",
-    "uninstall_session",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "architecture": ("Architecture", "architecture"),
+    "api": (
+        "StonneBifrostApi", "get_packed_func", "register_packed_funcs",
+        "registered_packed_funcs",
+    ),
+    "configurator": ("SimulatorConfigurator",),
+    "mapping_config": ("MappingConfigurator", "MappingStrategy"),
+    "reporting": (
+        "FEATURE_MATRIX", "LayerComparison", "comparison_table",
+        "feature_table", "stats_table", "stats_to_json",
+    ),
+    "runner": (
+        "BifrostRunResult", "run_graph", "run_layers", "run_torch_stonne",
+    ),
+    "strategies": ("active_session", "install_session", "uninstall_session"),
+})

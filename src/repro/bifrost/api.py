@@ -16,14 +16,16 @@ lists:
 The functions are registered in a global registry under TVM-style names
 (``tvm.contrib.stonne.conv2d.nchw`` etc.), which is how the TOPI
 strategies reach them.
+
+Building an endpoint needs no numpy: the datapath imports it (and the
+layout transforms) when a layer is actually offloaded, so a session
+that only evaluates cycle models never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.bifrost.mapping_config import MappingConfigurator
 from repro.engine import EvaluationEngine
@@ -33,15 +35,10 @@ from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.simulator import _conv_via_gemm
-from repro.stonne.sparsity import prune_to_sparsity
 from repro.stonne.stats import SimulationStats
-from repro.topi.layout import (
-    nchw_to_nhwc,
-    nhwc_to_nchw,
-    npqk_to_nkpq,
-    rsck_to_kcrs,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -122,6 +119,8 @@ class StonneBifrostApi:
     def _maybe_prune(self, weights: np.ndarray) -> np.ndarray:
         """Apply the configured sparsity to weights (sparse architectures)."""
         if self._controller_cls().consumes_sparsity and self.config.sparsity_ratio:
+            from repro.stonne.sparsity import prune_to_sparsity
+
             return prune_to_sparsity(weights, self.config.sparsity_ratio)
         return weights
 
@@ -143,6 +142,16 @@ class StonneBifrostApi:
         transposed on the CPU first and the NPQK output transposed back to
         NKPQ, exactly the execution path the paper describes.
         """
+        import numpy as np
+
+        from repro.stonne.simulator import _conv_via_gemm
+        from repro.topi.layout import (
+            nchw_to_nhwc,
+            nhwc_to_nchw,
+            npqk_to_nkpq,
+            rsck_to_kcrs,
+        )
+
         if data.ndim != 4 or weights.ndim != 4:
             raise LayerError(
                 f"conv2d expects 4-D tensors, got {data.shape} and {weights.shape}"
@@ -208,6 +217,10 @@ class StonneBifrostApi:
         layer_name: str = "conv2d",
     ) -> np.ndarray:
         """Execute an NHWC/RSCK convolution (MAERI's native layout)."""
+        import numpy as np
+
+        from repro.topi.layout import nchw_to_nhwc, nhwc_to_nchw, rsck_to_kcrs
+
         if data.ndim != 4 or weights.ndim != 4:
             raise LayerError(
                 f"conv2d expects 4-D tensors, got {data.shape} and {weights.shape}"
@@ -230,6 +243,8 @@ class StonneBifrostApi:
         layer_name: str = "dense",
     ) -> np.ndarray:
         """Execute a dense layer (GEMM on every architecture, §V-A)."""
+        import numpy as np
+
         if data.ndim != 2 or weights.ndim != 2:
             raise LayerError(
                 f"dense expects 2-D tensors, got {data.shape} and {weights.shape}"

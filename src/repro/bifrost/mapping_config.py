@@ -7,6 +7,10 @@ architecture"), a *tuned* mapping from the AutoTVM module, or a mapping
 from a specialized tool (*mRNA*).  :class:`MappingConfigurator` resolves
 a layer to its mapping with per-layer overrides winning over the global
 strategy.
+
+The mRNA mapper and the tuner are imported by the strategy that runs
+them, so resolving default mappings loads neither (nor numpy, which
+the tuner needs).
 """
 
 from __future__ import annotations
@@ -17,14 +21,11 @@ from typing import Dict, Optional, Union
 
 from repro.engine import EvaluationEngine
 from repro.errors import MappingError, TuningError
-from repro.mrna.mapper import MrnaMapper
 from repro.obs.trace import TRACER
 from repro.stonne.config import SimulatorConfig
 from repro.stonne.controller import controller_class
 from repro.stonne.layer import ConvLayer, FcLayer
 from repro.stonne.mapping import ConvMapping, FcMapping
-from repro.tuner.measure import MaeriConvTask, MaeriFcTask
-from repro.tuner.tuners.xgb import XGBTuner
 
 Layer = Union[ConvLayer, FcLayer]
 Mapping = Union[ConvMapping, FcMapping]
@@ -124,6 +125,8 @@ class MappingConfigurator:
                 else FcMapping.basic()
             )
         if self.strategy is MappingStrategy.MRNA:
+            from repro.mrna.mapper import MrnaMapper
+
             with TRACER.span("mapping.mrna", category="mapping",
                              layer=layer.name):
                 mapper = MrnaMapper(self.config)
@@ -139,6 +142,9 @@ class MappingConfigurator:
         so tuning a layer whose shape already appeared in the network is
         served from the stats cache instead of re-simulated.
         """
+        from repro.tuner.measure import MaeriConvTask, MaeriFcTask
+        from repro.tuner.tuners.xgb import XGBTuner
+
         if self.engine is None:
             self.engine = EvaluationEngine(self.config)
         if isinstance(layer, ConvLayer):

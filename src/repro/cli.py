@@ -121,7 +121,6 @@ def _cmd_features(args) -> int:
 def _cmd_run(args) -> int:
     from repro.bifrost.reporting import stats_table
     from repro.session import Session, config_from_args
-    from repro.stonne.energy import attach_energy
 
     config = config_from_args(args)
     with Session(config) as session:
@@ -129,6 +128,8 @@ def _cmd_run(args) -> int:
         report = session.run(args.model)
         print(stats_table(report.layer_stats))
         if args.energy:
+            from repro.stonne.energy import attach_energy
+
             total = sum(attach_energy(s).energy for s in report.layer_stats)
             print(f"total energy: {total:,.0f} MAC-units")
         if args.report_json:
@@ -985,6 +986,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if hasattr(args, "config"):
+        # The command resolves a session config.  A retired REPRO_*
+        # variable is a usage error, as a retired flag is to argparse.
+        from repro.session.config import check_retired_env
+
+        try:
+            check_retired_env()
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "features": _cmd_features,
         "run": _cmd_run,

@@ -88,49 +88,24 @@ Results are bit-identical with the cache on or off and across backends:
 every controller is a deterministic function of (layer, config, params,
 mapping), and cache hits return independent copies so callers can never
 corrupt the cache.
+
+The names below load lazily, each with its submodule on first lookup
+(:func:`repro._lazy.lazy_exports`), so ``import repro.engine.cache``
+does not also start the scheduler or the SQLite tier.
 """
 
-from repro.engine.backends import (
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-    register_backend,
-    registered_backends,
-    unregister_backend,
-)
-from repro.engine.cache import (
-    PersistentStatsCache,
-    StatsCache,
-    make_stats_cache,
-)
-from repro.engine.evaluation import (
-    BatchPlan,
-    EvalRequest,
-    EvaluationEngine,
-    evaluation_key,
-    fingerprint_config,
-)
-from repro.engine.scheduler import backend_counters, run_plan_groups
-from repro.engine.sqlite_cache import SqliteStatsCache
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchPlan",
-    "EvalRequest",
-    "EvaluationEngine",
-    "ExecutorBackend",
-    "PersistentStatsCache",
-    "ProcessBackend",
-    "SerialBackend",
-    "SqliteStatsCache",
-    "StatsCache",
-    "backend_counters",
-    "evaluation_key",
-    "fingerprint_config",
-    "make_backend",
-    "make_stats_cache",
-    "register_backend",
-    "registered_backends",
-    "run_plan_groups",
-    "unregister_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "backends": (
+        "ExecutorBackend", "ProcessBackend", "SerialBackend", "make_backend",
+        "register_backend", "registered_backends", "unregister_backend",
+    ),
+    "cache": ("PersistentStatsCache", "StatsCache", "make_stats_cache"),
+    "evaluation": (
+        "BatchPlan", "EvalRequest", "EvaluationEngine", "evaluation_key",
+        "fingerprint_config",
+    ),
+    "scheduler": ("backend_counters", "run_plan_groups"),
+    "sqlite_cache": ("SqliteStatsCache",),
+})

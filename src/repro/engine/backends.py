@@ -32,11 +32,10 @@ cannot poison a generation of tuner proposals.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
     ClassVar,
@@ -326,6 +325,10 @@ class ProcessBackend(ExecutorBackend):
         if workers <= 1:
             return [0]
         if self._pool is None:
+            # concurrent.futures.process loads multiprocessing; only a
+            # pooled run pays for it.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=workers)
         return list(range(workers))
 
@@ -333,6 +336,8 @@ class ProcessBackend(ExecutorBackend):
         pool = self._pool
         if pool is None:
             return super().run_chunk(engine, items, slot)
+        from concurrent.futures.process import BrokenProcessPool
+
         spec = (
             engine.fingerprint,
             type(engine.controller),
@@ -373,6 +378,16 @@ class ProcessBackend(ExecutorBackend):
 # ----------------------------------------------------------------------
 _REGISTRY: Dict[str, Type[ExecutorBackend]] = {}
 
+#: Built-in backends defined outside this module, by the module whose
+#: import registers them.  The remote backend drags in the fleet's wire
+#: protocol, so it is imported the first time it is resolved by name,
+#: not whenever backends are listed (every CLI call lists them for
+#: ``--executor``).
+_DEFERRED: Dict[str, str] = {"remote": "repro.fleet.remote_backend"}
+
+#: Sorted backend names, rebuilt after a (de)registration.
+_NAMES: Optional[Tuple[str, ...]] = None
+
 
 def register_backend(
     name: str,
@@ -380,6 +395,7 @@ def register_backend(
     """Class decorator registering an executor backend under ``name``."""
 
     def decorator(cls: Type[ExecutorBackend]) -> Type[ExecutorBackend]:
+        global _NAMES
         existing = _REGISTRY.get(name)
         if existing is not None and existing is not cls:
             raise ConfigError(
@@ -387,6 +403,7 @@ def register_backend(
                 f"{existing.__name__}; unregister it first"
             )
         _REGISTRY[name] = cls
+        _NAMES = None
         # Stamp the registry name onto classes that don't declare their
         # own; never mutate one that does (registering a built-in under
         # an alias must not corrupt its original name).
@@ -399,31 +416,29 @@ def register_backend(
 
 def unregister_backend(name: str) -> None:
     """Remove a registration (tests and hot-swapping extensions)."""
+    global _NAMES
     _REGISTRY.pop(name, None)
+    _DEFERRED.pop(name, None)
+    _NAMES = None
 
 
 def _ensure_builtin_backends() -> None:
     for cls in (SerialBackend, ProcessBackend):
         _REGISTRY.setdefault(cls.name, cls)
-    # The remote backend lives in repro.fleet (it drags in the wire
-    # protocol); importing it registers it, making "remote" a first-class
-    # registry citizen everywhere backends are listed or resolved.
-    try:
-        import repro.fleet.remote_backend  # noqa: F401  (import = register)
-    except ImportError:  # pragma: no cover - stripped-down installs only;
-        pass  # anything else (a real bug in fleet code) must surface
 
 
 def backend_class(name: str) -> Type[ExecutorBackend]:
     """The registered backend class for ``name``."""
     if name not in _REGISTRY:
         _ensure_builtin_backends()
+        if name in _DEFERRED:
+            importlib.import_module(_DEFERRED[name])  # import = register
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ConfigError(
             f"no executor backend registered for {name!r}; "
-            f"known backends: {sorted(_REGISTRY)}"
+            f"known backends: {registered_backends()}"
         ) from None
 
 
@@ -446,9 +461,12 @@ def make_backend(
 
 
 def registered_backends() -> List[str]:
-    """Sorted registry keys, built-ins included."""
-    _ensure_builtin_backends()
-    return sorted(_REGISTRY)
+    """Sorted backend names, built-ins (deferred ones too) included."""
+    global _NAMES
+    if _NAMES is None:
+        _ensure_builtin_backends()
+        _NAMES = tuple(sorted(set(_REGISTRY) | set(_DEFERRED)))
+    return list(_NAMES)
 
 
 _ensure_builtin_backends()

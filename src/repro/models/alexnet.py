@@ -16,11 +16,12 @@ dimensions exactly.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.ir.builder import GraphBuilder
-from repro.ir.graph import Graph
 from repro.stonne.layer import ConvLayer, FcLayer
+
+if TYPE_CHECKING:
+    from repro.ir.graph import Graph
 
 #: Number of classes in the ImageNet-1k head.
 NUM_CLASSES = 1000
@@ -58,6 +59,8 @@ def alexnet_layers() -> List[object]:
 
 def alexnet_graph(num_classes: int = NUM_CLASSES) -> Graph:
     """The full AlexNet IR graph (224x224x3 input, NCHW)."""
+    from repro.ir.builder import GraphBuilder
+
     builder = GraphBuilder("alexnet", (1, 3, 224, 224))
     (
         builder

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.ir.builder import GraphBuilder
-from repro.ir.graph import Graph
 from repro.stonne.layer import ConvLayer, FcLayer
+
+if TYPE_CHECKING:
+    from repro.ir.graph import Graph
 
 
 def lenet_graph(num_classes: int = 10) -> Graph:
     """LeNet-5 over 28x28 single-channel inputs (MNIST geometry)."""
+    from repro.ir.builder import GraphBuilder
+
     builder = GraphBuilder("lenet5", (1, 1, 28, 28))
     (
         builder

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.errors import GraphError
-from repro.ir.builder import GraphBuilder
-from repro.ir.graph import Graph
 from repro.stonne.layer import FcLayer
+
+if TYPE_CHECKING:
+    from repro.ir.graph import Graph
 
 
 def mlp_graph(
@@ -16,6 +17,8 @@ def mlp_graph(
     num_classes: int = 10,
 ) -> Graph:
     """A ReLU MLP ending in softmax."""
+    from repro.ir.builder import GraphBuilder
+
     if input_features < 1:
         raise GraphError(f"input_features must be >= 1, got {input_features}")
     builder = GraphBuilder("mlp", (1, input_features))

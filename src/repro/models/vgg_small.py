@@ -7,15 +7,18 @@ MAERI matters most.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.ir.builder import GraphBuilder
-from repro.ir.graph import Graph
 from repro.stonne.layer import ConvLayer, FcLayer
+
+if TYPE_CHECKING:
+    from repro.ir.graph import Graph
 
 
 def vgg_small_graph(num_classes: int = 100) -> Graph:
     """VGG-11-style graph over 64x64 RGB inputs with batch norms."""
+    from repro.ir.builder import GraphBuilder
+
     builder = GraphBuilder("vgg_small", (1, 3, 64, 64))
     channels = [64, 128, 256, 256, 512, 512]
     pools_after = {0, 1, 3, 5}

@@ -11,42 +11,19 @@ Two pillars:
   that absorb the scheduler counters, per-tier cache hit rates,
   simulations/sec throughput and fleet per-worker health, and
   serialise into the ``metrics`` section of run/sweep reports.
+
+The names above load lazily, each with its submodule on first lookup
+(:func:`repro._lazy.lazy_exports`): every tier imports the tracer, and
+only runs that report metrics need the registry.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.trace import (
-    CATEGORIES,
-    TRACE_VERSION,
-    TRACER,
-    Tracer,
-    chrome_events,
-    get_tracer,
-    read_trace,
-    spans_from_document,
-    summarize_spans,
-    trace_document,
-    write_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TRACER",
-    "TRACE_VERSION",
-    "Tracer",
-    "chrome_events",
-    "get_tracer",
-    "read_trace",
-    "spans_from_document",
-    "summarize_spans",
-    "trace_document",
-    "write_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "trace": (
+        "CATEGORIES", "TRACE_VERSION", "TRACER", "Tracer", "chrome_events",
+        "get_tracer", "read_trace", "spans_from_document", "summarize_spans",
+        "trace_document", "unattributed_time", "write_trace",
+    ),
+})

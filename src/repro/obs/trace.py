@@ -29,7 +29,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Schema version of the ``reproTrace`` section in saved trace files.
 TRACE_VERSION = 1
@@ -351,9 +351,42 @@ def summarize_spans(spans: List[Dict[str, Any]],
             lines.append(
                 f"{name:<28}{int(row['count']):>7}"
                 f"{row['total']:>10.4f}{row['self']:>10.4f}")
+    lines.extend(_unattributed_lines(spans))
     lines.extend(_slot_utilization_lines(spans))
     lines.extend(_metrics_lines(metrics or {}))
     return "\n".join(lines)
+
+
+def unattributed_time(spans: List[Dict[str, Any]]) -> Tuple[float, float]:
+    """``(unattributed, wall)`` seconds of a traced operation.
+
+    ``wall`` runs from the trace's epoch (when tracing was enabled) to
+    the end of the last span; ``unattributed`` is the part of it no
+    top-level span covers.  Top-level spans on different lanes (the
+    scheduler's slots) overlap, so their union is what counts.
+    """
+    intervals = sorted(
+        (span["ts"], span["ts"] + span.get("dur", 0.0))
+        for span in spans
+        if span.get("kind") != "instant" and span.get("depth", 0) == 0
+    )
+    wall = max((end for _, end in intervals), default=0.0)
+    covered = 0.0
+    reached = 0.0
+    for start, end in intervals:
+        start = max(start, reached)
+        if end > start:
+            covered += end - start
+            reached = end
+    return max(wall - covered, 0.0), wall
+
+
+def _unattributed_lines(spans: List[Dict[str, Any]]) -> List[str]:
+    unattributed, wall = unattributed_time(spans)
+    if wall <= 0.0:
+        return []
+    return [f"unattributed: {unattributed:.4f}s of {wall:.4f}s wall "
+            f"({100.0 * unattributed / wall:.1f}%) outside top-level spans"]
 
 
 def _slot_utilization_lines(spans: List[Dict[str, Any]]) -> List[str]:

@@ -27,52 +27,23 @@ teardown via ``close()`` / the context-manager protocol.
 It is the one place execution is configured: the Listing-1 runners in
 :mod:`repro.bifrost` take a session (or its ``.api``) and run on the
 engine it built.
+
+The names above load lazily, each with its submodule on first lookup
+(:func:`repro._lazy.lazy_exports`), so a CLI command that only
+resolves the config (``repro config show``) never imports the session
+facade or the report types.
 """
 
-from repro.session.config import (
-    ARCHITECTURES,
-    ArchitectureConfig,
-    CacheConfig,
-    EngineConfig,
-    FieldSpec,
-    FleetConfig,
-    ObservabilityConfig,
-    SessionConfig,
-    TuningConfig,
-    add_config_arguments,
-    cli_overrides,
-    config_from_args,
-    env_overrides,
-    field_specs,
-    known_keys,
-    load_profiles,
-    render_profiles_toml,
-)
-from repro.session.reports import CompareReport, RunReport, TuneReport
-from repro.session.session import Session, ZOO_MODELS, zoo_layers
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARCHITECTURES",
-    "ZOO_MODELS",
-    "ArchitectureConfig",
-    "CacheConfig",
-    "CompareReport",
-    "EngineConfig",
-    "FieldSpec",
-    "FleetConfig",
-    "ObservabilityConfig",
-    "RunReport",
-    "Session",
-    "SessionConfig",
-    "TuneReport",
-    "TuningConfig",
-    "add_config_arguments",
-    "cli_overrides",
-    "config_from_args",
-    "env_overrides",
-    "field_specs",
-    "known_keys",
-    "load_profiles",
-    "render_profiles_toml",
-    "zoo_layers",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": (
+        "ARCHITECTURES", "ArchitectureConfig", "CacheConfig", "EngineConfig",
+        "FieldSpec", "FleetConfig", "ObservabilityConfig", "SessionConfig",
+        "TuningConfig", "add_config_arguments", "cli_overrides",
+        "config_from_args", "env_overrides", "field_specs", "known_keys",
+        "load_profiles", "render_profiles_toml",
+    ),
+    "reports": ("CompareReport", "RunReport", "TuneReport"),
+    "session": ("Session", "ZOO_MODELS", "zoo_layers"),
+})

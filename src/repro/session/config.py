@@ -104,7 +104,7 @@ def _meta(
 
 
 def _registered_backends() -> Sequence[str]:
-    from repro.engine import registered_backends
+    from repro.engine.backends import registered_backends
 
     return registered_backends()
 
@@ -877,11 +877,34 @@ def _load_config_file(path: Union[str, os.PathLike]) -> Dict[str, Any]:
         raise ConfigError(f"invalid TOML in config file {p}: {exc}") from None
 
 
+#: Retired environment variables, each with what to set instead.  The
+#: env layer reads only known names, so without this check a stale
+#: spelling would be silently ignored, while the same key in a file or
+#: in kwargs is an "unknown key" error.
+RETIRED_ENV = {
+    "REPRO_SPARSITY": "set REPRO_SPARSITY_RATIO to a ratio in [0, 1) "
+                      "instead of a percentage (50 -> 0.5)",
+}
+
+
+def check_retired_env(environ: Optional[Mapping[str, str]] = None) -> None:
+    """Raise :class:`ConfigError` if a retired ``REPRO_*`` variable is set."""
+    source = os.environ if environ is None else environ
+    for name, instead in RETIRED_ENV.items():
+        if source.get(name):
+            raise ConfigError(f"{name} is retired; {instead}")
+
+
 def env_overrides(
     environ: Optional[Mapping[str, str]] = None
 ) -> Dict[str, Any]:
-    """The flat overrides present in the environment (coerced)."""
+    """The flat overrides present in the environment (coerced).
+
+    A retired variable (:data:`RETIRED_ENV`) raises :class:`ConfigError`;
+    other names outside the config namespace are ignored.
+    """
     source = os.environ if environ is None else environ
+    check_retired_env(source)
     overrides: Dict[str, Any] = {}
     for spec in _FIELD_SPECS:
         raw = source.get(spec.env)

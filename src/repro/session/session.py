@@ -92,7 +92,6 @@ class Session:
         from repro.bifrost.api import StonneBifrostApi
         from repro.bifrost.mapping_config import MappingConfigurator, MappingStrategy
         from repro.engine import EvaluationEngine, StatsCache, make_stats_cache
-        from repro.fleet.remote_backend import resolve_executor
         from repro.stonne.params import DEFAULT_PARAMS
 
         if config is None:
@@ -162,12 +161,16 @@ class Session:
         # close() can never run on a half-constructed session, so reap
         # the autostarted daemons and the cache tier in place.
         try:
-            executor = resolve_executor(
-                config.engine.executor,
-                workers or None,
-                shard_timeout=config.fleet.shard_timeout,
-                secret=config.fleet.secret,
-            )
+            executor = config.engine.executor
+            if workers:
+                from repro.fleet.remote_backend import resolve_executor
+
+                executor = resolve_executor(
+                    executor,
+                    workers,
+                    shard_timeout=config.fleet.shard_timeout,
+                    secret=config.fleet.secret,
+                )
             self.engine = EvaluationEngine(
                 self.simulator_config,
                 self.params,

@@ -8,89 +8,43 @@ Public surface:
   (paper Table II);
 * mappings — :class:`ConvMapping`, :class:`FcMapping` (paper Tables IV/V);
 * execution — :class:`Stonne` returning :class:`SimulationStats`.
+
+Every name above loads lazily: the submodule that defines it is
+imported on its first lookup (:func:`repro._lazy.lazy_exports`).  The
+functional simulator and the sparsity helpers need numpy, while the
+cycle models, configs and statistics do not, so code that only reads
+or computes statistics — a warm ``repro run``, ``repro features`` —
+imports ``repro.stonne.stats`` without paying for numpy.
 """
 
-from repro.stonne.config import (
-    ControllerType,
-    MsNetworkType,
-    ReduceNetworkType,
-    SimulatorConfig,
-    maeri_config,
-    magma_config,
-    sigma_config,
-    tpu_config,
-)
-from repro.stonne.controller import (
-    AcceleratorController,
-    controller_class,
-    make_controller,
-    register_controller,
-    registered_controller_types,
-    unregister_controller,
-)
-from repro.stonne.magma import MagmaController
-from repro.stonne.energy import (
-    DEFAULT_ENERGY_TABLE,
-    EnergyBreakdown,
-    EnergyTable,
-    attach_energy,
-    estimate_energy,
-)
-from repro.stonne.layer import ConvLayer, FcLayer, GemmLayer, ceil_div
-from repro.stonne.mapping import (
-    ConvMapping,
-    FcMapping,
-    enumerate_conv_mappings,
-    enumerate_fc_mappings,
-)
-from repro.stonne.maeri import MaeriController
-from repro.stonne.params import CycleModelParams, DEFAULT_PARAMS
-from repro.stonne.sigma import SigmaController
-from repro.stonne.simulator import SimulationResult, Stonne
-from repro.stonne.sparsity import BitmapTensor, measured_sparsity, prune_to_sparsity
-from repro.stonne.stats import SimulationStats, TrafficBreakdown, combine_stats
-from repro.stonne.tpu import TpuController
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorController",
-    "BitmapTensor",
-    "controller_class",
-    "make_controller",
-    "register_controller",
-    "registered_controller_types",
-    "unregister_controller",
-    "DEFAULT_ENERGY_TABLE",
-    "EnergyBreakdown",
-    "EnergyTable",
-    "attach_energy",
-    "estimate_energy",
-    "ControllerType",
-    "ConvLayer",
-    "ConvMapping",
-    "CycleModelParams",
-    "DEFAULT_PARAMS",
-    "FcLayer",
-    "FcMapping",
-    "GemmLayer",
-    "MaeriController",
-    "MagmaController",
-    "magma_config",
-    "MsNetworkType",
-    "ReduceNetworkType",
-    "SigmaController",
-    "SimulationResult",
-    "SimulationStats",
-    "SimulatorConfig",
-    "Stonne",
-    "TpuController",
-    "TrafficBreakdown",
-    "ceil_div",
-    "combine_stats",
-    "enumerate_conv_mappings",
-    "enumerate_fc_mappings",
-    "maeri_config",
-    "measured_sparsity",
-    "prune_to_sparsity",
-    "sigma_config",
-    "tpu_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": (
+        "ControllerType", "MsNetworkType", "ReduceNetworkType",
+        "SimulatorConfig", "maeri_config", "magma_config", "sigma_config",
+        "tpu_config",
+    ),
+    "controller": (
+        "AcceleratorController", "controller_class", "make_controller",
+        "register_controller", "registered_controller_types",
+        "unregister_controller",
+    ),
+    "energy": (
+        "DEFAULT_ENERGY_TABLE", "EnergyBreakdown", "EnergyTable",
+        "attach_energy", "estimate_energy",
+    ),
+    "layer": ("ConvLayer", "FcLayer", "GemmLayer", "ceil_div"),
+    "mapping": (
+        "ConvMapping", "FcMapping", "enumerate_conv_mappings",
+        "enumerate_fc_mappings",
+    ),
+    "params": ("CycleModelParams", "DEFAULT_PARAMS"),
+    "stats": ("SimulationStats", "TrafficBreakdown", "combine_stats"),
+    "maeri": ("MaeriController",),
+    "magma": ("MagmaController",),
+    "sigma": ("SigmaController",),
+    "tpu": ("TpuController",),
+    "simulator": ("SimulationResult", "Stonne"),
+    "sparsity": ("BitmapTensor", "measured_sparsity", "prune_to_sparsity"),
+})

@@ -18,6 +18,7 @@ members of the :class:`ControllerType` enum yet.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import replace as _dataclass_replace
 from typing import (
     Callable,
@@ -27,6 +28,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Type,
     Union,
 )
@@ -336,8 +338,23 @@ def unregister_controller(controller_type: ControllerKey) -> None:
     _REGISTRY.pop(_key(controller_type), None)
 
 
-def _ensure_builtin_controllers() -> None:
-    """Re-register the built-in controllers for any vacant type.
+#: Built-in controllers by registry key: (module, class).  Each module is
+#: imported the first time its type is looked up, so a run on one
+#: architecture does not load the other cycle models.
+_BUILTINS: Dict[str, Tuple[str, str]] = {
+    _key(ControllerType.MAERI_DENSE_WORKLOAD): (
+        "repro.stonne.maeri", "MaeriController"),
+    _key(ControllerType.SIGMA_SPARSE_GEMM): (
+        "repro.stonne.sigma", "SigmaController"),
+    _key(ControllerType.MAGMA_SPARSE_DENSE): (
+        "repro.stonne.magma", "MagmaController"),
+    _key(ControllerType.TPU_OS_DENSE): ("repro.stonne.tpu", "TpuController"),
+}
+
+
+def _ensure_builtin_controllers(*keys: str) -> None:
+    """Re-register the built-in controllers for any vacant type among
+    ``keys`` (every built-in type when none are given).
 
     Idempotent and lazy (avoids import cycles).  Registering directly —
     rather than relying on first-import side effects — means a built-in
@@ -345,32 +362,24 @@ def _ensure_builtin_controllers() -> None:
     comes back on the next lookup instead of being lost for the process.
     ``setdefault`` never clobbers a live replacement registration.
     """
-    from repro.stonne.maeri import MaeriController
-    from repro.stonne.magma import MagmaController
-    from repro.stonne.sigma import SigmaController
-    from repro.stonne.tpu import TpuController
-
-    builtins = {
-        ControllerType.MAERI_DENSE_WORKLOAD: MaeriController,
-        ControllerType.SIGMA_SPARSE_GEMM: SigmaController,
-        ControllerType.MAGMA_SPARSE_DENSE: MagmaController,
-        ControllerType.TPU_OS_DENSE: TpuController,
-    }
-    for controller_type, cls in builtins.items():
-        _REGISTRY.setdefault(_key(controller_type), cls)
+    for key in keys or _BUILTINS:
+        if key in _BUILTINS and key not in _REGISTRY:
+            module, name = _BUILTINS[key]
+            cls = getattr(importlib.import_module(module), name)
+            _REGISTRY.setdefault(key, cls)
 
 
 def controller_class(controller_type: ControllerKey) -> Type[AcceleratorController]:
     """The registered controller class for ``controller_type``."""
     key = _key(controller_type)
     if key not in _REGISTRY:
-        _ensure_builtin_controllers()
+        _ensure_builtin_controllers(key)
     try:
         return _REGISTRY[key]
     except KeyError:
         raise ConfigError(
             f"no controller registered for {key!r}; "
-            f"known types: {sorted(_REGISTRY)}"
+            f"known types: {registered_controller_types()}"
         ) from None
 
 

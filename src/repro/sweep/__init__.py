@@ -35,44 +35,21 @@ Typical use::
         report = s.sweep(plan)
         print(report.summary())
         print(report.best().name)
+
+The names above load lazily, each with its submodule on first lookup
+(:func:`repro._lazy.lazy_exports`), so running one scenario does not
+import the report differ.
 """
 
-from repro.sweep.diff import (
-    MetricDelta,
-    ReportDiff,
-    ScenarioDelta,
-    diff_reports,
-    load_report,
-)
-from repro.sweep.plan import (
-    SCENARIO_KINDS,
-    Scenario,
-    SweepPlan,
-    resolve_axis_key,
-)
-from repro.sweep.report import ScenarioResult, SweepReport, scenario_metric
-from repro.sweep.resume import (
-    result_config,
-    scenario_fingerprint,
-    split_resume,
-)
-from repro.sweep.runner import SweepRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricDelta",
-    "ReportDiff",
-    "SCENARIO_KINDS",
-    "Scenario",
-    "ScenarioDelta",
-    "ScenarioResult",
-    "SweepPlan",
-    "SweepReport",
-    "SweepRunner",
-    "diff_reports",
-    "load_report",
-    "resolve_axis_key",
-    "result_config",
-    "scenario_fingerprint",
-    "scenario_metric",
-    "split_resume",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "diff": (
+        "MetricDelta", "ReportDiff", "ScenarioDelta", "diff_reports",
+        "load_report",
+    ),
+    "plan": ("SCENARIO_KINDS", "Scenario", "SweepPlan", "resolve_axis_key"),
+    "report": ("ScenarioResult", "SweepReport", "scenario_metric"),
+    "resume": ("result_config", "scenario_fingerprint", "split_resume"),
+    "runner": ("SweepRunner",),
+})

@@ -4,56 +4,27 @@ Declares tuning-knob config spaces over MAERI mappings and hardware
 parameters, measures configs through the cycle-level simulator (cost =
 ``cycles`` or ``psums``, never wall latency — §VII-B), and searches with
 grid / random / genetic / gradient-boosted-tree tuners.
+
+The names below load lazily, each with its submodule on first lookup
+(:func:`repro._lazy.lazy_exports`): the search strategies and the
+gradient-boosted trees need numpy, and only a tuned mapping runs them.
 """
 
-from repro.tuner.gbt import GradientBoostedTrees, RegressionTree
-from repro.tuner.measure import (
-    INVALID_COST,
-    CallableTask,
-    MaeriConvTask,
-    MaeriFcTask,
-    MeasureResult,
-    TuningTask,
-)
-from repro.tuner.records import Trial, TuningRecords
-from repro.tuner.space import (
-    ConfigSpace,
-    config_to_conv_mapping,
-    config_to_fc_mapping,
-    conv_mapping_space,
-    fc_mapping_space,
-    hardware_space,
-)
-from repro.tuner.tuners import (
-    GATuner,
-    GridSearchTuner,
-    RandomTuner,
-    Tuner,
-    TuningResult,
-    XGBTuner,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CallableTask",
-    "ConfigSpace",
-    "GATuner",
-    "GradientBoostedTrees",
-    "GridSearchTuner",
-    "INVALID_COST",
-    "MaeriConvTask",
-    "MaeriFcTask",
-    "MeasureResult",
-    "RandomTuner",
-    "RegressionTree",
-    "Trial",
-    "Tuner",
-    "TuningRecords",
-    "TuningResult",
-    "TuningTask",
-    "XGBTuner",
-    "config_to_conv_mapping",
-    "config_to_fc_mapping",
-    "conv_mapping_space",
-    "fc_mapping_space",
-    "hardware_space",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gbt": ("GradientBoostedTrees", "RegressionTree"),
+    "measure": (
+        "INVALID_COST", "CallableTask", "MaeriConvTask", "MaeriFcTask",
+        "MeasureResult", "TuningTask",
+    ),
+    "records": ("Trial", "TuningRecords"),
+    "space": (
+        "ConfigSpace", "config_to_conv_mapping", "config_to_fc_mapping",
+        "conv_mapping_space", "fc_mapping_space", "hardware_space",
+    ),
+    "tuners": (
+        "GATuner", "GridSearchTuner", "RandomTuner", "Tuner", "TuningResult",
+        "XGBTuner",
+    ),
+})

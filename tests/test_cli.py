@@ -40,6 +40,16 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "resnet"])
 
+    def test_retired_sparsity_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SPARSITY", "50")
+        assert main(["run", "lenet", "--arch", "sigma"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: REPRO_SPARSITY is retired")
+        assert "REPRO_SPARSITY_RATIO" in lines[0]
+
     @pytest.mark.parametrize(
         "flags",
         [["--executor", "thread"], ["--sparsity", "50"], ["--sparsity", "0"]],
@@ -151,3 +161,99 @@ class TestLayeredConfig:
         assert main(["run", "mlp", "--report-json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["model"] == "mlp" and data["total_cycles"] > 0
+
+
+class TestImportFloor:
+    """Each command imports only what it runs.
+
+    Every command runs in a fresh interpreter, as ``python -m
+    repro.cli`` does, and reports the modules loaded at exit.  None of
+    these commands executes numpy code, the tuner, the IR/runtime stack,
+    mRNA or the sweep service, so none of them may be imported; and the
+    output must equal the same command run in this process, where they
+    all are.
+    """
+
+    NEVER = ("numpy", "repro.tuner", "repro.ir", "repro.topi",
+             "repro.runtime", "repro.mrna", "repro.serve")
+    #: ``repro features`` output and the warm runs' total lines, as
+    #: recorded for the CLI benchmark (perfbench/goldens.json).
+    FEATURES_SHA256 = (
+        "4cc8faabe2a9c26d78530c55b9f2a44c701faaad76075c1155a3069d134fcc62"
+    )
+    TOTALS = {
+        "sigma": "total            7,366,350",
+        "tpu": "total            6,372,625",
+        "magma": "total           13,665,877",
+    }
+    RUNNER = (
+        "import atexit, json, runpy, sys\n"
+        "out = sys.argv.pop(1)\n"
+        "atexit.register(lambda: open(out, 'w').write("
+        "json.dumps(sorted(sys.modules))))\n"
+        "runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+    )
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        for name in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse's help width
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(args):
+            modules = tmp_path / "modules.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", self.RUNNER, str(modules), *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded = json.loads(modules.read_text())
+            leaked = sorted({prefix for m in loaded for prefix in self.NEVER
+                             if m == prefix or m.startswith(prefix + ".")})
+            assert leaked == [], f"repro {' '.join(args)} imported {leaked}"
+            return proc.stdout
+
+        return run
+
+    @staticmethod
+    def _in_process(args, capsys):
+        capsys.readouterr()
+        try:
+            code = main(args)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        assert code == 0
+        return capsys.readouterr().out
+
+    def test_features(self, cold, capsys):
+        import hashlib
+
+        out = cold(["features"])
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FEATURES_SHA256
+        assert out == self._in_process(["features"], capsys)
+
+    @pytest.mark.parametrize("args", [["config", "show", "--json"], ["--help"]])
+    def test_config_show_and_help(self, cold, capsys, args):
+        assert cold(args) == self._in_process(args, capsys)
+
+    def test_warm_runs_without_mapping(self, cold, capsys, tmp_path):
+        cache = str(tmp_path / "warm.sqlite")
+        for arch, total in self.TOTALS.items():
+            args = ["run", "alexnet", "--arch", arch, "--cache-path", cache]
+            self._in_process(args, capsys)  # fill the cache
+            expected = self._in_process(args, capsys)
+            out = cold(args)
+            assert out == expected
+            assert [line for line in out.splitlines()
+                    if line.startswith("total ")] == [total]
+            assert "db_hits=8" in out

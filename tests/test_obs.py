@@ -27,6 +27,7 @@ from repro.obs import (
     spans_from_document,
     summarize_spans,
     trace_document,
+    unattributed_time,
     write_trace,
 )
 from repro.obs.trace import _NULL_SPAN
@@ -263,6 +264,28 @@ class TestChromeExport:
         assert "25.0%" in text
         assert "l1_hits=1" in text
         assert "1,234 simulations/s" in text
+
+    def test_unattributed_is_wall_minus_top_level_cover(self):
+        def span(name, ts, dur, depth=0, lane="main", kind="span"):
+            return {"name": name, "cat": "session", "lane": lane, "ts": ts,
+                    "dur": dur, "self": dur, "depth": depth, "kind": kind,
+                    "args": {}}
+
+        spans = [
+            span("session.sweep", 0.1, 0.3),                  # 0.1 .. 0.4
+            span("sweep.plan", 0.15, 0.1, depth=1),           # nested: ignored
+            span("scheduler.chunk", 0.3, 0.3, lane="slot-1"),  # 0.3 .. 0.6
+            span("cache.evict", 0.7, 0.0, kind="instant"),    # ignored
+            span("session.close", 0.8, 0.2),                  # 0.8 .. 1.0
+        ]
+        # Covered: 0.1 .. 0.6 and 0.8 .. 1.0 = 0.7 of a 1.0 s window.
+        unattributed, wall = unattributed_time(spans)
+        assert wall == pytest.approx(1.0)
+        assert unattributed == pytest.approx(0.3)
+        text = summarize_spans(spans)
+        assert "unattributed: 0.3000s of 1.0000s wall (30.0%)" in text
+        assert unattributed_time([]) == (0.0, 0.0)
+        assert "unattributed" not in summarize_spans([])
 
 
 # ----------------------------------------------------------------------

@@ -130,17 +130,18 @@ class TestBadKeys:
 
     def test_removed_sparsity_percentage_rejected(self, tmp_path):
         # The ratio is the one spelling: kwargs and files name the
-        # percentage form as an unknown key; the env layer only reads
-        # known REPRO_* names, so REPRO_SPARSITY sets nothing.
+        # percentage form as an unknown key, and the env layer rejects
+        # the retired REPRO_SPARSITY instead of ignoring it.
         with pytest.raises(ConfigError, match="unknown config key 'sparsity'"):
             SessionConfig.resolve(env=False, sparsity=50)
         path = _write_toml(tmp_path, "[architecture]\nsparsity = 50\n")
         with pytest.raises(ConfigError, match="unknown key 'sparsity'"):
             SessionConfig.from_file(path)
-        assert env_overrides({"REPRO_SPARSITY": "50"}) == {}
-        cfg = SessionConfig.resolve(env={"REPRO_SPARSITY": "50"})
-        assert cfg.architecture.sparsity_ratio == 0.0
-        assert not hasattr(cfg.architecture, "sparsity")
+        with pytest.raises(ConfigError, match="REPRO_SPARSITY_RATIO"):
+            env_overrides({"REPRO_SPARSITY": "50"})
+        with pytest.raises(ConfigError, match="REPRO_SPARSITY_RATIO"):
+            SessionConfig.resolve(env={"REPRO_SPARSITY": "50"})
+        assert not hasattr(SessionConfig().architecture, "sparsity")
 
     def test_removed_thread_executor_rejected(self, tmp_path):
         path = _write_toml(tmp_path, "[engine]\nexecutor = \"thread\"\n")
@@ -177,6 +178,17 @@ class TestEnvLayer:
 
     def test_unrelated_env_ignored(self):
         assert env_overrides({"REPRO_NOT_A_KEY": "x", "PATH": "/bin"}) == {}
+
+    def test_retired_env_rejected_in_one_line(self):
+        with pytest.raises(ConfigError) as exc:
+            env_overrides({"REPRO_SPARSITY": "50",
+                           "REPRO_SPARSITY_RATIO": "0.5"})
+        message = str(exc.value)
+        assert "\n" not in message
+        assert message.startswith("REPRO_SPARSITY is retired")
+        assert "REPRO_SPARSITY_RATIO" in message
+        # An empty value is unset, as for every other variable.
+        assert env_overrides({"REPRO_SPARSITY": ""}) == {}
 
     def test_empty_env_value_ignored(self):
         assert env_overrides({"REPRO_EXECUTOR": ""}) == {}
